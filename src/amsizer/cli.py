@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import ConfigError, build_backend, build_state, load_config
 from .llm import LlmError
+# bind_parameters and evaluate go unused here but stay: profilers patch the pipeline at these names
 from .metrics import evaluate, extract_metrics
 from .mosfet import DEFAULT_MODEL_CARDS
 from .netlist import (
@@ -33,7 +34,7 @@ from .netlist import (
 from .optimizer import OptimizerRequest, optimize
 from .simulator import SimulationError, solve_ac, solve_dc, solve_transient
 from .trace import TraceLog, fom_series, load_trace, render_report
-from .workflow import Workflow, WorkflowError
+from .workflow import Workflow, WorkflowError, measure
 
 OP_COLUMNS = ("region", "vgs_V", "vds_V", "id_A", "gm_S", "gds_S")
 
@@ -54,11 +55,7 @@ def cmd_run(args) -> int:
     trace_path = os.path.join(out_dir, "trace.jsonl")
 
     with TraceLog(path=trace_path) as trace:
-        workflow = Workflow(
-            state, backend, trace,
-            caps=cfg.caps, seed=cfg.seed, parallelism=cfg.parallelism,
-        )
-        result = workflow.run()
+        result = Workflow(state, backend, trace, caps=cfg.caps, seed=cfg.seed).run()
 
     report_path = os.path.join(out_dir, "report.md")
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -187,26 +184,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config)
-    circuit = parse_netlist(cfg.netlist_text)
-    cards = cfg.model_cards
+    state = build_state(cfg)
 
     def objective(point: dict[str, float]) -> float:
-        bound = bind_parameters(circuit, cfg.space, point)
-        dc = solve_dc(bound, cards)
-        plan = cfg.ac_plan
-        ac = solve_ac(
-            bound, cards, dc,
-            plan.input_source, plan.output_net,
-            plan.f_lo, plan.f_hi, plan.pts_per_decade,
-        )
-        tran = None
-        if cfg.tran_plan is not None:
-            tp = cfg.tran_plan
-            v0 = bound.device(tp.source).value("DC")
-            tran = solve_transient(bound, cards, dc, {tp.source: [(0.0, v0 + tp.step_v)]},
-                                   tp.t_stop, tp.dt)
-        values = extract_metrics(ac, dc, tran, plan.output_net)
-        return evaluate(values, cfg.specs).fom
+        _dc, report, note = measure(state, point)
+        if note:  # the baseline fails a point whose transient failed
+            raise SimulationError(note)
+        return report.fom
 
     try:
         request = OptimizerRequest(
@@ -218,7 +202,7 @@ def cmd_optimize(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    result = optimize(request, objective, parallelism=cfg.parallelism)
+    result = optimize(request, objective)
     errors = sum(1 for ev in result.evaluations if ev.error is not None)
     print(json.dumps(
         {

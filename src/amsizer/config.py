@@ -58,7 +58,6 @@ class RunConfig:
     model_cards: dict[str, MosModelCard] = field(default_factory=lambda: dict(DEFAULT_MODEL_CARDS))
     caps: PhaseCaps = field(default_factory=PhaseCaps)
     seed: int = 0
-    parallelism: int = 1
     history_tail: int = 10
     output_dir: str = "out"
 
@@ -294,7 +293,7 @@ def _resolve(base_dir: str, path: str) -> str:
 
 _TOP_FIELDS = {
     "netlist", "parameters", "specs", "analysis", "matching", "model_cards",
-    "backend", "caps", "seed", "parallelism", "history_tail", "output_dir",
+    "backend", "caps", "seed", "history_tail", "output_dir",
 }
 
 
@@ -361,9 +360,6 @@ def load_config(path: str) -> RunConfig:
     caps = _parse_caps(raw["caps"]) if "caps" in raw else PhaseCaps()
 
     seed = _int(raw, "seed", "config", default=0)
-    parallelism = _int(raw, "parallelism", "config", default=1)
-    if parallelism < 1:
-        raise _fail("parallelism", "must be >= 1")
     history_tail = _int(raw, "history_tail", "config", default=10)
     if history_tail < 1:
         raise _fail("history_tail", "must be >= 1")
@@ -381,7 +377,6 @@ def load_config(path: str) -> RunConfig:
         backend=backend,
         caps=caps,
         seed=seed,
-        parallelism=parallelism,
         history_tail=history_tail,
         output_dir=_resolve(base_dir, output_dir),
     )

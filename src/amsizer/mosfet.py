@@ -98,19 +98,6 @@ def mos_current(
     return -pol * i, -fu, fu + fw
 
 
-def mos_small_signal(
-    card: MosModelCard, w: float, l: float, vg: float, vd: float, vs: float
-) -> tuple[float, float, float]:
-    """Small-signal (gm, gds, cgs) at an operating point.
-
-    gm and gds are the normalized-frame derivatives (both >= 0 in
-    forward operation); cgs = (2/3) * W * L * cox_area.
-    """
-    _, gm, gds = mos_current(card, w, l, vg, vd, vs)
-    cgs = (2.0 / 3.0) * w * l * card.cox_area
-    return gm, gds, cgs
-
-
 def classify_region(vgs: float, vds: float, vth_eff: float) -> str:
     """Operating region from normalized (NMOS-frame) voltages."""
     if vgs < vth_eff:

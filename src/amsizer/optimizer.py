@@ -10,15 +10,11 @@ requested simulation budget, and are deterministic under a fixed seed.
 The objective is called with a real-valued parameter dict and returns a
 figure of merit to maximize.  Objective exceptions score 0 for that
 point: a non-convergent circuit is a valid bad outcome, not a crash.
-With parallelism > 1, evaluations of a batch may run concurrently, but
-evaluation order in the result (and in any on_evaluation callback) is
-the deterministic submission order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,10 +171,9 @@ class OptimizerRequest:
 
 
 class _BudgetedObjective:
-    def __init__(self, objective, budget, parallelism, on_evaluation):
+    def __init__(self, objective, budget, on_evaluation):
         self.objective = objective
         self.budget = budget
-        self.parallelism = max(1, parallelism)
         self.on_evaluation = on_evaluation
         self.evaluations: list[Evaluation] = []
 
@@ -196,16 +191,9 @@ class _BudgetedObjective:
             return 0.0, f"{type(exc).__name__}: {exc}"
 
     def eval_batch(self, points: list[dict[str, float]]) -> list[float]:
-        points = points[: self.remaining]
-        if not points:
-            return []
-        if self.parallelism > 1 and len(points) > 1:
-            with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                outcomes = list(pool.map(self._call_one, points))
-        else:
-            outcomes = [self._call_one(p) for p in points]
         foms = []
-        for point, (fom, error) in zip(points, outcomes):
+        for point in points[: self.remaining]:
+            fom, error = self._call_one(point)
             ev = Evaluation(point=dict(point), fom=fom, error=error)
             self.evaluations.append(ev)
             if self.on_evaluation is not None:
@@ -256,13 +244,12 @@ def de_step(
 def optimize(
     req: OptimizerRequest,
     objective,
-    parallelism: int = 1,
     on_evaluation=None,
 ) -> OptimizerResult:
     """Run the requested algorithm for exactly `req.budget` objective calls."""
     codec = _Codec(req.space)
     projector = _Projector(codec, req.matching)
-    run = _BudgetedObjective(objective, req.budget, parallelism, on_evaluation)
+    run = _BudgetedObjective(objective, req.budget, on_evaluation)
     rng = np.random.default_rng(req.seed)
 
     init_pts = [

@@ -11,8 +11,7 @@ shunts on every node, then source stepping; any gmin-assisted solution
 is polished with a final gmin = 0 Newton pass so the reported residual
 is the true KCL residual.  AC is one complex solve per frequency around
 the DC operating point; transient is backward Euler with Newton at each
-step.  Pure evaluation throughout: every call is independently
-reentrant and safe to run concurrently.
+step.
 """
 
 from __future__ import annotations
@@ -142,16 +141,8 @@ class _Compiled:
         g0 = np.zeros((n, n))
         for d in circuit.devices:
             if d.kind is DeviceKind.RESISTOR:
-                a = self.node_index[d.terminals[0]]
-                b = self.node_index[d.terminals[1]]
-                g = 1.0 / d.value("R")
-                if a >= 0:
-                    g0[a, a] += g
-                if b >= 0:
-                    g0[b, b] += g
-                if a >= 0 and b >= 0:
-                    g0[a, b] -= g
-                    g0[b, a] -= g
+                self._stamp_pair(g0, self.node_index[d.terminals[0]],
+                                 self.node_index[d.terminals[1]], 1.0 / d.value("R"))
         for k, v in enumerate(self.vsources):
             row = self.n_nodes + k
             p = self.node_index[v.terminals[0]]
@@ -165,18 +156,7 @@ class _Compiled:
         self.g0 = g0
 
         # DC source vector at scale 1 (F = G x - scale*b + mos terms)
-        b = np.zeros(n)
-        for k, v in enumerate(self.vsources):
-            b[self.n_nodes + k] = v.value("DC")
-        for s in self.isources:
-            p = self.node_index[s.terminals[0]]
-            m = self.node_index[s.terminals[1]]
-            i = s.value("DC")
-            if p >= 0:
-                b[p] -= i
-            if m >= 0:
-                b[m] += i
-        self.b_dc = b
+        self.b_dc = self.source_vector("DC")
 
         # capacitance matrix: explicit caps plus each MOSFET's Cgs
         c = np.zeros((n, n))
@@ -200,6 +180,24 @@ class _Compiled:
             mat[a, b] -= val
             mat[b, a] -= val
 
+    def source_vector(self, slot: str, dtype=float) -> np.ndarray:
+        """Right-hand side of every independent source's `slot` value
+        ("DC" or "AC"); sources without that slot contribute nothing."""
+        b = np.zeros(self.n_unknowns, dtype=dtype)
+        for k, v in enumerate(self.vsources):
+            if slot in v.values:
+                b[self.n_nodes + k] = v.value(slot)
+        for s in self.isources:
+            if slot in s.values:
+                p = self.node_index[s.terminals[0]]
+                m = self.node_index[s.terminals[1]]
+                i = s.value(slot)
+                if p >= 0:
+                    b[p] -= i
+                if m >= 0:
+                    b[m] += i
+        return b
+
     # -- nonlinear assembly ------------------------------------------------
 
     def mos_terminal_voltages(self, x: np.ndarray, di: int, gi: int, si: int):
@@ -215,24 +213,32 @@ class _Compiled:
         if gmin > 0.0:
             j[range(self.n_nodes), range(self.n_nodes)] += gmin
         f = j @ x - scale * self.b_dc
+        self.stamp_mosfets(x, j, f)
+        return f, j
+
+    def stamp_mosfets(self, x: np.ndarray, mat: np.ndarray, f: np.ndarray | None = None):
+        """Add every MOSFET's conductances (gm, gds) at x to `mat` and,
+        when `f` is given, its drain current to the KCL residual."""
         for _, card, w, l, di, gi, si in self.mosfets:
             vg, vd, vs = self.mos_terminal_voltages(x, di, gi, si)
-            i_d, di_dvgs, di_dvds = mos_current(card, w, l, vg, vd, vs)
-            if di >= 0:
-                f[di] += i_d
-                if gi >= 0:
-                    j[di, gi] += di_dvgs
-                j[di, di] += di_dvds
-                if si >= 0:
-                    j[di, si] -= di_dvgs + di_dvds
-            if si >= 0:
-                f[si] -= i_d
-                if gi >= 0:
-                    j[si, gi] -= di_dvgs
+            i_d, gm, gds = mos_current(card, w, l, vg, vd, vs)
+            if f is not None:
                 if di >= 0:
-                    j[si, di] -= di_dvds
-                j[si, si] += di_dvgs + di_dvds
-        return f, j
+                    f[di] += i_d
+                if si >= 0:
+                    f[si] -= i_d
+            if di >= 0:
+                if gi >= 0:
+                    mat[di, gi] += gm
+                mat[di, di] += gds
+                if si >= 0:
+                    mat[di, si] -= gm + gds
+            if si >= 0:
+                if gi >= 0:
+                    mat[si, gi] -= gm
+                if di >= 0:
+                    mat[si, di] -= gds
+                mat[si, si] += gm + gds
 
     def _solve_linear(self, j: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         with warnings.catch_warnings():
@@ -314,6 +320,10 @@ def solve_dc(
         except (NonConvergence, SingularMatrix):
             return x, iters, residual
 
+    # Plain Newton from x = 0 rarely converges on a transistor circuit
+    # (the bias net's Jacobian row is singular there), but on a linear
+    # circuit it returns the exact solution in one step, whereas the
+    # gmin rung's polish accepts a shunted answer off by ~gmin * |v|.
     def plain():
         return comp.newton(zeros, tol=newton_tol, max_iters=max_iters, context="plain Newton")
 
@@ -429,37 +439,10 @@ def solve_ac(
     if src.kind not in (DeviceKind.VSOURCE, DeviceKind.ISOURCE):
         raise SimulationError(f"{input_source!r} is not an independent source")
 
-    x = _dc_state_vector(comp, dc)
     n = comp.n_unknowns
     g = comp.g0.copy()
-    for _, card, w, l, di, gi, si in comp.mosfets:
-        vg, vd, vs = comp.mos_terminal_voltages(x, di, gi, si)
-        _, gm, gds = mos_current(card, w, l, vg, vd, vs)
-        if di >= 0:
-            if gi >= 0:
-                g[di, gi] += gm
-            g[di, di] += gds
-            if si >= 0:
-                g[di, si] -= gm + gds
-        if si >= 0:
-            if gi >= 0:
-                g[si, gi] -= gm
-            if di >= 0:
-                g[si, di] -= gds
-            g[si, si] += gm + gds
-
-    b = np.zeros(n, dtype=complex)
-    for k, v in enumerate(comp.vsources):
-        if "AC" in v.values:
-            b[comp.n_nodes + k] = v.value("AC")
-    for s in comp.isources:
-        if "AC" in s.values:
-            p = comp.node_index[s.terminals[0]]
-            m = comp.node_index[s.terminals[1]]
-            if p >= 0:
-                b[p] -= s.value("AC")
-            if m >= 0:
-                b[m] += s.value("AC")
+    comp.stamp_mosfets(_dc_state_vector(comp, dc), g)
+    b = comp.source_vector("AC", complex)
 
     freqs = frequency_grid(f_lo, f_hi, pts_per_decade)
     a = g[None, :, :] + 1j * 2.0 * np.pi * freqs[:, None, None] * comp.c_mat[None, :, :]

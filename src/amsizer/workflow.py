@@ -103,6 +103,45 @@ def _point_key(point: dict[str, float]) -> tuple:
     return tuple(sorted(point.items()))
 
 
+def measure(state: WorkflowState, point: dict[str, float], full: bool = True):
+    """Simulate one parameter point: (dc, report | None, note).
+
+    The one bind -> DC -> AC -> transient -> metrics -> FoM pipeline,
+    shared by the agents' tools, the optimizer they call, and the
+    optimizer-only baseline.  A DC-only measurement (full=False) has no
+    report.  A failed transient is not fatal: the report then lacks the
+    transient metrics and `note` says why.  Raises SimulationError when
+    the DC or AC analysis fails.
+    """
+    bound = bind_parameters(state.circuit, state.space, point)
+    dc = solve_dc(bound, state.model_cards)
+    if not full:
+        return dc, None, ""
+    plan = state.ac_plan
+    ac = solve_ac(
+        bound,
+        state.model_cards,
+        dc,
+        plan.input_source,
+        plan.output_net,
+        plan.f_lo,
+        plan.f_hi,
+        plan.pts_per_decade,
+    )
+    tran = None
+    note = ""
+    if state.tran_plan is not None:
+        tp = state.tran_plan
+        v0 = bound.device(tp.source).value("DC")
+        stimulus = {tp.source: [(0.0, v0 + tp.step_v)]}
+        try:
+            tran = solve_transient(bound, state.model_cards, dc, stimulus, tp.t_stop, tp.dt)
+        except SimulationError as exc:
+            note = f"transient failed: {exc}"
+    values = extract_metrics(ac, dc, tran, plan.output_net)
+    return dc, evaluate(values, state.specs), note
+
+
 class Workflow:
     """Drives one sizing run over a prepared WorkflowState."""
 
@@ -113,14 +152,12 @@ class Workflow:
         trace: TraceLog,
         caps: PhaseCaps | None = None,
         seed: int = 0,
-        parallelism: int = 1,
     ):
         self.state = state
         self.backend = backend
         self.trace = trace
         self.caps = caps or PhaseCaps()
         self.seed = seed
-        self.parallelism = parallelism
         self.schema_ctx = SchemaContext(
             space=state.space,
             mosfet_names=tuple(d.id for d in state.circuit.mosfets()),
@@ -230,37 +267,6 @@ class Workflow:
         history.append(entry)
         return entry
 
-    def _measure(self, point: dict[str, float], full: bool):
-        """(dc, report | None, note) for one point; raises SimulationError."""
-        st = self.state
-        bound = bind_parameters(st.circuit, st.space, point)
-        dc = solve_dc(bound, st.model_cards)
-        if not full:
-            return dc, None, ""
-        plan = st.ac_plan
-        ac = solve_ac(
-            bound,
-            st.model_cards,
-            dc,
-            plan.input_source,
-            plan.output_net,
-            plan.f_lo,
-            plan.f_hi,
-            plan.pts_per_decade,
-        )
-        tran = None
-        note = ""
-        if st.tran_plan is not None:
-            tp = st.tran_plan
-            v0 = bound.device(tp.source).value("DC")
-            stimulus = {tp.source: [(0.0, v0 + tp.step_v)]}
-            try:
-                tran = solve_transient(bound, st.model_cards, dc, stimulus, tp.t_stop, tp.dt)
-            except SimulationError as exc:
-                note = f"transient failed: {exc}"
-        values = extract_metrics(ac, dc, tran, plan.output_net)
-        return dc, evaluate(values, st.specs), note
-
     def _simulate(self, point: dict[str, float], full: bool, counter: str) -> HistoryEntry:
         tool = "full_sim" if full else "dc_sim"
         entry = self._entry_for(point, source="engine")
@@ -270,7 +276,7 @@ class Workflow:
         self._bump(counter)
         payload: dict = {"tool": tool, "source": entry.source, "point": dict(point)}
         try:
-            dc, report, note = self._measure(point, full)
+            dc, report, note = measure(self.state, point, full)
             entry.dc = dc
             entry.report = report
             if note:
@@ -441,7 +447,7 @@ class Workflow:
         measured: dict[tuple, tuple] = {}
 
         def objective(point: dict[str, float]) -> float:
-            dc, report, _note = self._measure(point, full=True)
+            dc, report, _note = measure(st, point)
             measured[_point_key(point)] = (dc, report)
             return report.fom
 
@@ -468,9 +474,7 @@ class Workflow:
             self._trace("sim_result", "optimizer", payload)
 
         try:
-            result = optimize(
-                request, objective, parallelism=self.parallelism, on_evaluation=on_evaluation
-            )
+            result = optimize(request, objective, on_evaluation=on_evaluation)
         except Exception as exc:  # degrade to reasoning-only continuation
             self._note(f"optimizer failed ({exc}); continuing with reasoning only")
             return

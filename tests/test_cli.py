@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from amsizer.cli import main
+from amsizer.simulator import NonConvergence
 
 DATA = Path(__file__).parent / "data"
 
@@ -238,6 +239,32 @@ class TestOptimize:
         _, out_a, _ = run_cli(capsys, *args)
         _, out_b, _ = run_cli(capsys, *args)
         assert out_a == out_b
+
+    def test_failed_transient_fails_the_evaluation(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def no_transient(*args, **kwargs):
+            calls.append(1)
+            raise NonConvergence(1e-3, 50, "transient step 1 (t = 1e-09 s)")
+
+        monkeypatch.setattr("amsizer.workflow.solve_transient", no_transient)
+        config = (DATA / "two_stage_run.yaml").read_text().replace(
+            "netlist: two_stage.sp", f"netlist: {DATA / 'two_stage.sp'}"
+        ).replace(
+            "scenario: two_stage_scenario.yaml", f"scenario: {DATA / 'two_stage_scenario.yaml'}"
+        ).replace(
+            "  ac: {input_source: VIN, output_net: out}\n",
+            "  ac: {input_source: VIN, output_net: out}\n"
+            "  tran: {source: VIN, step_v: 0.1, t_stop: 1e-6, dt: 1e-9}\n",
+        )
+        path = tmp_path / "run.yaml"
+        path.write_text(config)
+        code, out, _ = run_cli(capsys, "optimize", str(path), "--algo", "de", "--budget", "4")
+        assert code == 0
+        doc = json.loads(out)
+        assert calls
+        assert doc["budget_used"] == 4
+        assert doc["failed_evaluations"] == 4
 
 
 class TestReport:

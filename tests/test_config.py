@@ -60,7 +60,6 @@ class TestHappyPath:
         assert cfg.backend.kind == "scripted"
         assert cfg.caps == PhaseCaps()
         assert cfg.seed == 0
-        assert cfg.parallelism == 1
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         cfg = load_config(write_run(tmp_path))
@@ -81,7 +80,6 @@ class TestHappyPath:
             "  NMOS: {vth: 0.5}\n"
             "caps: {phase2_max_cycles: 3}\n"
             "seed: 7\n"
-            "parallelism: 2\n"
             "history_tail: 4\n"
             "output_dir: results\n"
         )).replace(
@@ -96,7 +94,6 @@ class TestHappyPath:
         assert cfg.caps.phase2_max_cycles == 3
         assert cfg.caps.phase3_max_full_sims == 20  # default kept
         assert cfg.seed == 7
-        assert cfg.parallelism == 2
         assert cfg.history_tail == 4
         assert cfg.output_dir == str(tmp_path / "results")
 
@@ -307,8 +304,8 @@ class TestDiagnostics:
         self.check(tmp_path, "model_cards.SLOW_N.kind: required",
                    extra="model_cards:\n  SLOW_N: {vth: 0.5}\n")
 
-    def test_parallelism_must_be_positive(self, tmp_path):
-        self.check(tmp_path, "parallelism: must be >= 1", extra="parallelism: 0\n")
+    def test_parallelism_is_an_unknown_field(self, tmp_path):
+        self.check(tmp_path, r"config: unknown field\(s\) parallelism", extra="parallelism: 1\n")
 
     def test_seed_must_be_integer(self, tmp_path):
         self.check(tmp_path, "config.seed: expected an integer", extra="seed: 1.5\n")

@@ -68,16 +68,6 @@ def test_determinism_same_seed(algo):
     assert r1.best_fom == r2.best_fom
 
 
-def test_parallel_matches_sequential():
-    space = _space(3)
-    req = OptimizerRequest(space=space, budget=24, algorithm="de", seed=5)
-    obj = _quadratic([0.5, 0.1, 0.8])
-    r1 = optimize(req, obj, parallelism=1)
-    r4 = optimize(req, obj, parallelism=4)
-    for a, b in zip(r1.evaluations, r4.evaluations):
-        assert a.point == b.point
-
-
 @pytest.mark.parametrize("algo", ["bo", "de"])
 def test_matching_and_bounds_preserved(algo):
     space = ParameterSpace(

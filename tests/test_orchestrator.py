@@ -9,7 +9,8 @@ from amsizer.llm import ScriptedBackend, load_scenario
 from amsizer.metrics import MetricReport, Spec
 from amsizer.mosfet import DEFAULT_MODEL_CARDS
 from amsizer.netlist import MatchingGroup, ParameterSpace, SpaceEntry, parse_netlist
-from amsizer.state import AcPlan, BudgetLedger, HistoryEntry, WorkflowState
+from amsizer.simulator import NonConvergence
+from amsizer.state import AcPlan, BudgetLedger, HistoryEntry, TranPlan, WorkflowState
 from amsizer.trace import TraceLog, load_trace, render_report, summarize_accounting
 from amsizer.workflow import PhaseCaps, Workflow, WorkflowError, detect_stagnation
 
@@ -533,6 +534,27 @@ class TestPhase3:
         assert state.budgets.full_sims_llm == 1
         assert state.best_fom() == 1.0
         assert any("leaving phase 3" in w for w in warnings_of(trace))
+
+    def test_failed_transient_still_scores_the_point(self, monkeypatch):
+        def no_transient(*args, **kwargs):
+            raise NonConvergence(1e-3, 50, "transient step 1 (t = 1e-09 s)")
+
+        monkeypatch.setattr("amsizer.workflow.solve_transient", no_transient)
+        state = cs_state(specs=UNREACHABLE, point=CS_SAT)
+        state.tran_plan = TranPlan(source="VIN", step_v=0.1, t_stop=1e-6, dt=1e-9)
+        entries = [
+            ("specs_reviewer", specs_review()),
+            ("reasoning_sizer", proposal(CS_SAT)),
+        ]
+        trace = TraceLog()
+        Workflow(state, ScriptedBackend(entries), trace).run_phase3(max_full_sims=1)
+        (result,) = [e.payload for e in trace.events if e.kind == "sim_result"]
+        assert result["ok"] is True
+        assert "gain_db" in result["metrics"]
+        assert "slew_rate_vps" not in result["metrics"]
+        simulated = next(e for e in state.sizing_history if e.report is not None)
+        assert simulated.note.startswith("transient failed: Newton did not converge")
+        assert any("transient failed:" in w for w in warnings_of(trace))
 
 
 class TestPhase4:

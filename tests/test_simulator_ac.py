@@ -72,6 +72,36 @@ def test_common_source_low_frequency_gain():
     assert abs(math.degrees(np.angle(ac.transfer[0]))) == pytest.approx(180.0, abs=1.0)
 
 
+def _five_t_ota(vip: float) -> str:
+    # the five-transistor OTA of the DC tests: NMOS pair, PMOS mirror load
+    return (
+        "V1 vdd 0 1.8\n"
+        f"Vip inp 0 DC {vip!r} AC 1\nVim inm 0 0.9\n"
+        "M1 x inp t 0 NMOS W=20u L=1u\n"
+        "M2 out inm t 0 NMOS W=20u L=1u\n"
+        "M3 x x vdd vdd PMOS W=10u L=1u\n"
+        "M4 out x vdd vdd PMOS W=10u L=1u\n"
+        "M5 t bias 0 0 NMOS W=10u L=1u\n"
+        "Vb bias 0 0.7\n"
+    )
+
+
+def test_ota_small_signal_gain_matches_dc_difference():
+    """The AC conductance stamp agrees with differentiating the DC solve."""
+    models = dict(DEFAULT_MODEL_CARDS)
+    c = parse_netlist(_five_t_ota(0.9))
+    dc = solve_dc(c, models)
+    assert all(op["region"] == "saturation" for op in dc.transistor_ops.values())
+    ac = solve_ac(c, models, dc, "Vip", "out", 1.0, 10.0)
+    delta = 1e-4
+    v_hi = solve_dc(parse_netlist(_five_t_ota(0.9 + delta)), models).node_voltages["out"]
+    v_lo = solve_dc(parse_netlist(_five_t_ota(0.9 - delta)), models).node_voltages["out"]
+    dc_gain = (v_hi - v_lo) / (2 * delta)
+    assert dc_gain > 10.0
+    assert ac.transfer[0].real == pytest.approx(dc_gain, rel=0.01)
+    assert abs(ac.transfer[0].imag) < 1e-3 * abs(ac.transfer[0].real)
+
+
 def test_ac_linearity_in_input_magnitude():
     c1 = parse_netlist(RC_TEXT)
     c2 = parse_netlist(RC_TEXT.replace("AC 1", "AC 2"))

@@ -189,7 +189,7 @@ class TestParallelOrdering:
         def on_evaluation(ev):
             log.record(4, "optimizer", "sim_result", {"point": ev.point, "fom": ev.fom})
 
-        result = optimize(req, lambda p: p["x"], parallelism=4, on_evaluation=on_evaluation)
+        result = optimize(req, lambda p: p["x"], on_evaluation=on_evaluation)
         recorded = [e.payload["point"] for e in log.events]
         assert recorded == [ev.point for ev in result.evaluations]
         assert [e.seq for e in log.events] == list(range(1, len(recorded) + 1))
