@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import requests
 import yaml
+
+if TYPE_CHECKING:
+    import requests
 
 
 class LlmError(RuntimeError):
@@ -137,7 +140,11 @@ class HttpBackend:
         self.timeout_s = timeout_s
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
-        self.session = session or requests.Session()
+        if session is None:
+            import requests  # only the HTTP backend needs it; keeps start-up light
+
+            session = requests.Session()
+        self.session = session
         self.sleep = sleep
 
     def _payload(self, req: ChatRequest) -> dict:
@@ -155,6 +162,8 @@ class HttpBackend:
         }
 
     def complete(self, req: ChatRequest, agent: str = "") -> ChatResponse:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

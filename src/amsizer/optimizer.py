@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .gp import GpError, GpHyper, gp_fit, gp_predict
 from .netlist import MatchingGroup, ParameterSpace, apply_matching
@@ -30,6 +30,7 @@ EI_REFINE_TOP = 4
 DE_F_WEIGHT = 0.7
 DE_CROSSOVER = 0.9
 DE_MAX_POP = 16
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -209,13 +210,11 @@ def expected_improvement(
     mean = np.asarray(mean, dtype=float)
     sigma = np.sqrt(np.maximum(np.asarray(var, dtype=float), 0.0))
     gain = mean - best_so_far
-    ei = np.where(sigma > 0.0, 0.0, np.maximum(gain, 0.0))
     pos = sigma > 0.0
-    if np.any(pos):
-        z = gain[pos] / sigma[pos]
-        ei_pos = gain[pos] * norm.cdf(z) + sigma[pos] * norm.pdf(z)
-        ei = ei.copy()
-        ei[pos] = ei_pos
+    ei = np.where(pos, 0.0, np.maximum(gain, 0.0))
+    z = gain[pos] / sigma[pos]
+    # the normal pdf in scipy.stats.norm.pdf's operations keeps EI bit-identical to it
+    ei[pos] = gain[pos] * ndtr(z) + sigma[pos] * (np.exp(-z**2 / 2.0) / _SQRT_2PI)
     return np.maximum(ei, 0.0)
 
 

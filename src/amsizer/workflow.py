@@ -447,8 +447,8 @@ class Workflow:
         measured: dict[tuple, tuple] = {}
 
         def objective(point: dict[str, float]) -> float:
-            dc, report, _note = measure(st, point)
-            measured[_point_key(point)] = (dc, report)
+            dc, report, note = measure(st, point)
+            measured[_point_key(point)] = (dc, report, note)
             return report.fom
 
         def on_evaluation(ev) -> None:
@@ -463,11 +463,11 @@ class Workflow:
                 "ok": ev.error is None,
             }
             if ev.error is None:
-                dc, report = measured[_point_key(ev.point)]
-                entry.dc = dc
-                entry.report = report
-                payload["metrics"] = dict(report.values)
-                payload["fom"] = report.fom
+                entry.dc, entry.report, note = measured[_point_key(ev.point)]
+                payload["metrics"] = dict(entry.report.values)
+                payload["fom"] = entry.report.fom
+                if note:
+                    entry.note = payload["note"] = note
             else:
                 payload["error"] = ev.error
             st.sizing_history.append(entry)

@@ -31,8 +31,9 @@ from amsizer.netlist import (
 from amsizer.optimizer import OptimizerRequest, optimize
 from amsizer.schema import SchemaContext, SchemaFailure, enforce_schema
 from amsizer.simulator import AcSweep, DcSolution, SimulationError, solve_ac, solve_dc, solve_transient
+from amsizer.state import AcPlan, WorkflowState
 from amsizer.trace import load_trace
-from amsizer.workflow import PHASE2_MAX_CYCLES, PHASE3_MAX_FULL_SIMS
+from amsizer.workflow import PHASE2_MAX_CYCLES, PHASE3_MAX_FULL_SIMS, measure
 
 from test_netlist import _random_circuit
 
@@ -250,11 +251,14 @@ def test_criterion_5_ledger_reproduction(scenario_runs):
 # criterion 6: optimizer-only DE baseline reaches fom >= 0.5, < 5 min
 
 
-def _measure_two_stage(circuit, point):
-    bound = bind_parameters(circuit, TWO_STAGE_SPACE, point)
-    dc = solve_dc(bound, DEFAULT_MODEL_CARDS)
-    ac = solve_ac(bound, DEFAULT_MODEL_CARDS, dc, "VIN", "out", 1.0, 1e9)
-    return extract_metrics(ac, dc)
+def _two_stage_state(circuit) -> WorkflowState:
+    return WorkflowState(
+        circuit=circuit,
+        space=TWO_STAGE_SPACE,
+        specs=[],
+        model_cards=DEFAULT_MODEL_CARDS,
+        ac_plan=AcPlan(input_source="VIN", output_net="out", f_lo=1.0, f_hi=1e9),
+    )
 
 
 def _derive_oracle_targets(circuit, n_samples=10_000, seed=0):
@@ -264,6 +268,7 @@ def _derive_oracle_targets(circuit, n_samples=10_000, seed=0):
     unity crossing); power is meaningful for every converged point.  The
     percentile respects each metric's direction (90th for >=, 10th for <=).
     """
+    state = _two_stage_state(circuit)
     rng = np.random.default_rng(seed)
     logs = [(math.log(e.lo), math.log(e.hi)) for e in TWO_STAGE_SPACE.entries]
     names = TWO_STAGE_SPACE.names
@@ -275,7 +280,7 @@ def _derive_oracle_targets(circuit, n_samples=10_000, seed=0):
             for n, (lo, hi), ui in zip(names, logs, u)
         }
         try:
-            v = _measure_two_stage(circuit, point)
+            v = measure(state, point)[1].values
         except SimulationError:
             continue
         powers.append(v["power_w"])

@@ -292,3 +292,25 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "mid         0.5" in proc.stdout
+
+    def test_start_up_loads_neither_scipy_stats_nor_requests(self):
+        # a fresh interpreter: pytest's own process may have imported both
+        script = (
+            "import sys\n"
+            "import amsizer.cli\n"
+            "from amsizer.config import build_backend, load_config\n"
+            "from amsizer.llm import HttpBackend, ScriptedBackend\n"
+            "heavy = ('scipy.stats', 'requests')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            f"backend = build_backend(load_config({str(DATA / 'two_stage_run.yaml')!r}))\n"
+            "assert isinstance(backend, ScriptedBackend)\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "HttpBackend(endpoint='http://localhost:9/v1/chat/completions')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the last line shows the check sees `requests` once the HTTP backend loads it
+        assert proc.stdout.splitlines() == ["[]", "[]", "['requests']"]

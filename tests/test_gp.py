@@ -130,3 +130,36 @@ def test_ei_monotone_in_sigma():
     )
     assert np.all(np.diff(ei) > 0)
     assert np.all(ei >= 0)
+
+
+def _ei_scipy_stats_oracle(mean, var, best_so_far):
+    """EI through scipy.stats.norm.cdf/pdf, kept here as the reference."""
+    from scipy.stats import norm
+
+    sigma = np.sqrt(np.maximum(var, 0.0))
+    gain = mean - best_so_far
+    ei = np.maximum(gain, 0.0)  # no variance: the improvement is certain
+    pos = sigma > 0.0
+    z = gain[pos] / sigma[pos]
+    ei[pos] = gain[pos] * norm.cdf(z) + sigma[pos] * norm.pdf(z)
+    return np.maximum(ei, 0.0)
+
+
+def test_ei_closed_form_equals_scipy_stats_exactly():
+    best = 0.7
+    z = np.linspace(-40.0, 40.0, 321)
+    sigma = np.logspace(-6.0, 3.0, 19)
+    gain = (z[:, None] * sigma[None, :]).ravel()
+    var = np.repeat(sigma[None, :] ** 2, len(z), axis=0).ravel()
+    # no variance and negative (round-off) variance, with gains of both signs
+    flat_gain = np.concatenate([-np.logspace(-6.0, 3.0, 10), [0.0], np.logspace(-6.0, 3.0, 10)])
+    gain = np.concatenate([gain, flat_gain, flat_gain, flat_gain])
+    var = np.concatenate([
+        var, np.zeros(21), np.full(21, -1e-12), -np.logspace(-6.0, 3.0, 21),
+    ])
+    mean = best + gain
+    assert (gain < 0).any() and (var == 0).any() and (var < 0).any()
+    ei = expected_improvement(mean, var, best)
+    oracle = _ei_scipy_stats_oracle(mean, var, best)
+    assert ei.shape == oracle.shape
+    assert (ei == oracle).all()

@@ -582,8 +582,43 @@ class TestPhase4:
         assert any("phase 4 cycle cap reached" in w for w in messages)
         opt_entries = [e for e in state.sizing_history if e.source == "optimizer"]
         assert len(opt_entries) == 5
+        # no transient, no note: the optimizer's sim_result payloads carry none
+        assert all(e.note == "" for e in opt_entries)
+        assert not any(
+            "note" in e.payload for e in trace.events
+            if e.kind == "sim_result" and e.actor == "optimizer"
+        )
         resume = [e for e in state.sizing_history if e.note == "resume from optimizer best"]
         assert len(resume) == 1
+
+    def test_optimizer_point_with_failed_transient_keeps_the_note(self, monkeypatch):
+        def no_transient(*args, **kwargs):
+            raise NonConvergence(1e-3, 50, "transient step 1 (t = 1e-09 s)")
+
+        monkeypatch.setattr("amsizer.workflow.solve_transient", no_transient)
+        state = cs_state(specs=UNREACHABLE, point=CS_SAT)
+        state.tran_plan = TranPlan(source="VIN", step_v=0.1, t_stop=1e-6, dt=1e-9)
+        caps = PhaseCaps(phase4_max_cycles=1, phase4_budget_cap=3)
+        entries = [
+            ("advisor_reviewer", advisor_review(advise=True)),
+            ("equipped_sizer", optimize_decision(budget=3, algorithm="de")),
+        ]
+        trace = TraceLog()
+        Workflow(state, ScriptedBackend(entries), trace, caps=caps).run_phase4()
+        results = [
+            e.payload for e in trace.events
+            if e.kind == "sim_result" and e.actor == "optimizer"
+        ]
+        assert len(results) == 3
+        for result in results:
+            assert result["ok"] is True
+            assert "gain_db" in result["metrics"]
+            assert "slew_rate_vps" not in result["metrics"]
+            assert result["note"].startswith("transient failed: Newton did not converge")
+        opt_entries = [e for e in state.sizing_history if e.source == "optimizer"]
+        assert len(opt_entries) == 3
+        assert all(e.report is not None for e in opt_entries)
+        assert all(e.note.startswith("transient failed: ") for e in opt_entries)
 
     def test_advisor_sees_deterministic_stagnation_signal(self):
         state = cs_state(specs=UNREACHABLE, point=CS_SAT)
