@@ -93,6 +93,17 @@ def cmd_run(args) -> int:
 # --- simulate ----------------------------------------------------------------
 
 
+def _si_number(token: str) -> float:
+    """argparse type: a number with an optional SI suffix (`8u`, `3p`, `1meg`)."""
+    try:
+        value = parse_value(token)
+    except ValueError:
+        value = None
+    if not isinstance(value, float):
+        raise argparse.ArgumentTypeError(f"expected a number, got {token!r}")
+    return value
+
+
 def _parse_param_args(pairs: list[str]) -> dict[str, float]:
     point = {}
     for pair in pairs:
@@ -100,8 +111,8 @@ def _parse_param_args(pairs: list[str]) -> dict[str, float]:
         if not eq or not name:
             raise BindingError(f"--param needs NAME=VALUE, got {pair!r}")
         try:
-            point[name] = parse_value(raw)
-        except NetlistError as exc:
+            point[name] = _si_number(raw)
+        except argparse.ArgumentTypeError as exc:
             raise BindingError(f"--param {name}: {exc}") from exc
     return point
 
@@ -252,12 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--tran", action="store_true", help="step transient as CSV")
     p_sim.add_argument("--input", help="stimulus voltage source (AC/transient)")
     p_sim.add_argument("--output", help="observed net (AC/transient)")
-    p_sim.add_argument("--f-lo", type=float, default=1.0, dest="f_lo")
-    p_sim.add_argument("--f-hi", type=float, default=1e9, dest="f_hi")
+    p_sim.add_argument("--f-lo", type=_si_number, default=1.0, dest="f_lo")
+    p_sim.add_argument("--f-hi", type=_si_number, default=1e9, dest="f_hi")
     p_sim.add_argument("--pts-per-decade", type=int, default=20, dest="pts_per_decade")
-    p_sim.add_argument("--step-v", type=float, dest="step_v", help="transient step height")
-    p_sim.add_argument("--t-stop", type=float, dest="t_stop", help="transient stop time")
-    p_sim.add_argument("--dt", type=float, dest="dt", help="transient time step")
+    p_sim.add_argument("--step-v", type=_si_number, dest="step_v", help="transient step height")
+    p_sim.add_argument("--t-stop", type=_si_number, dest="t_stop", help="transient stop time")
+    p_sim.add_argument("--dt", type=_si_number, dest="dt", help="transient time step")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_opt = sub.add_parser("optimize", help="optimizer-only baseline run")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .llm import HttpBackend, LlmError, ScriptedBackend, load_scenario
-from .metrics import Spec
+from .metrics import Spec, validate_specs
 from .mosfet import DEFAULT_MODEL_CARDS, MosModelCard
 from .netlist import (
     DeviceKind,
@@ -165,6 +165,10 @@ def _parse_specs(raw) -> tuple[Spec, ...]:
             raise _fail(path, str(exc)) from exc
     if not specs:
         raise _fail("specs", "at least one performance target is required")
+    try:
+        validate_specs(specs)
+    except ValueError as exc:
+        raise _fail("specs", str(exc)) from exc
     return tuple(specs)
 
 

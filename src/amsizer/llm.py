@@ -43,13 +43,6 @@ class ChatRequest:
     system_prompt: str
     user_content: str
     schema_hint: str = ""
-    model_id: str = ""
-    temperature: float = 0.0
-    max_tokens: int = 4096
-
-    def __post_init__(self):
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be > 0")
 
 
 @dataclass(frozen=True)
@@ -152,13 +145,13 @@ class HttpBackend:
         if req.schema_hint:
             user = f"{user}\n\nRespond with a single JSON document matching:\n{req.schema_hint}"
         return {
-            "model": req.model_id or self.model_id,
+            "model": self.model_id,
             "messages": [
                 {"role": "system", "content": req.system_prompt},
                 {"role": "user", "content": user},
             ],
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
+            "temperature": 0.0,
+            "max_tokens": 4096,
         }
 
     def complete(self, req: ChatRequest, agent: str = "") -> ChatResponse:

@@ -16,22 +16,22 @@ step.
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .mosfet import MosModelCard, classify_region, mos_current
 from .netlist import BindingError, Circuit, DeviceKind
 
-DEFAULT_NEWTON_TOL = 1e-9
-DEFAULT_MAX_ITERS = 100
-DEFAULT_GMIN = 1e-12
-DEFAULT_SOURCE_STEPS = 10
-# per-iteration cap on any node-voltage update, volts
-DEFAULT_DV_MAX = 1.0
+# Fixed solver constants, read at call time.
+NEWTON_TOL = 1e-9  # max |KCL residual|, amperes
+DC_MAX_ITERS = 100  # Newton iterations per DC rung (per scale when source stepping)
+TRAN_MAX_ITERS = 50  # Newton iterations per transient step
+GMIN = 1e-12  # node shunt conductance of the gmin and source-stepping rungs, siemens
+SOURCE_STEPS = 10
+DV_MAX = 1.0  # per-iteration cap on any node-voltage update, volts
 MIN_PTS_PER_DECADE = 20
 
 
@@ -155,7 +155,7 @@ class _Compiled:
                 g0[m, row] -= 1.0
         self.g0 = g0
 
-        # DC source vector at scale 1 (F = G x - scale*b + mos terms)
+        # DC right-hand side (F = G x - b + mos terms)
         self.b_dc = self.source_vector("DC")
 
         # capacitance matrix: explicit caps plus each MOSFET's Cgs
@@ -207,12 +207,12 @@ class _Compiled:
         return vg, vd, vs
 
     def residual_and_jacobian(
-        self, x: np.ndarray, scale: float, gmin: float
+        self, x: np.ndarray, b: np.ndarray, gmin: float
     ) -> tuple[np.ndarray, np.ndarray]:
         j = self.g0.copy()
         if gmin > 0.0:
             j[range(self.n_nodes), range(self.n_nodes)] += gmin
-        f = j @ x - scale * self.b_dc
+        f = j @ x - b
         self.stamp_mosfets(x, j, f)
         return f, j
 
@@ -241,14 +241,14 @@ class _Compiled:
                 mat[si, si] += gm + gds
 
     def _solve_linear(self, j: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(j, check_finite=False)
+        # the LAPACK routines behind scipy.linalg.lu_factor / lu_solve; an
+        # exactly singular pivot (info > 0) is caught by the check below
+        lu, piv, _ = dgetrf(j)
         diag = np.abs(np.diag(lu))
         bad = diag <= diag.max() * 1e-14 if diag.max() > 0 else np.ones_like(diag, bool)
         if bad.any():
             raise SingularMatrix(self.labels[int(np.argmax(bad))])
-        dx = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+        dx, _ = dgetrs(lu, piv, rhs)
         if not np.all(np.isfinite(dx)):
             raise SingularMatrix(self.labels[0])
         return dx
@@ -256,31 +256,30 @@ class _Compiled:
     def newton(
         self,
         x0: np.ndarray,
-        scale: float = 1.0,
+        b: np.ndarray,
         gmin: float = 0.0,
-        tol: float = DEFAULT_NEWTON_TOL,
-        max_iters: int = DEFAULT_MAX_ITERS,
-        dv_max: float = DEFAULT_DV_MAX,
-        b_override: np.ndarray | None = None,
+        max_iters: int | None = None,
         c_over_dt: np.ndarray | None = None,
         x_prev: np.ndarray | None = None,
         context: str = "",
     ) -> tuple[np.ndarray, int, float]:
-        """Damped Newton-Raphson; returns (x, iterations, residual)."""
+        """Damped Newton-Raphson on right-hand side `b` (plus the backward
+        Euler term when `c_over_dt` is given); returns (x, iterations,
+        residual).  `max_iters` defaults to DC_MAX_ITERS."""
+        if max_iters is None:
+            max_iters = DC_MAX_ITERS
         x = x0.copy()
         residual = float("inf")
         for it in range(max_iters):
-            f, j = self.residual_and_jacobian(x, scale, gmin)
-            if b_override is not None:
-                f += scale * self.b_dc - b_override
+            f, j = self.residual_and_jacobian(x, b, gmin)
             if c_over_dt is not None:
                 f += c_over_dt @ (x - x_prev)
                 j += c_over_dt
             residual = float(np.max(np.abs(f)))
-            if residual <= tol:
+            if residual <= NEWTON_TOL:
                 return x, it, residual
             dx = self._solve_linear(j, -f)
-            np.clip(dx[: self.n_nodes], -dv_max, dv_max, out=dx[: self.n_nodes])
+            np.clip(dx[: self.n_nodes], -DV_MAX, DV_MAX, out=dx[: self.n_nodes])
             x += dx
         raise NonConvergence(residual, max_iters, context)
 
@@ -295,14 +294,7 @@ def _dc_state_vector(comp: _Compiled, dc: DcSolution) -> np.ndarray:
     return x
 
 
-def solve_dc(
-    circuit: Circuit,
-    models: dict[str, MosModelCard],
-    newton_tol: float = DEFAULT_NEWTON_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    gmin: float = DEFAULT_GMIN,
-    source_steps: int = DEFAULT_SOURCE_STEPS,
-) -> DcSolution:
+def solve_dc(circuit: Circuit, models: dict[str, MosModelCard]) -> DcSolution:
     """DC operating point via the Newton convergence ladder."""
     comp = _Compiled(circuit, models)
     zeros = np.zeros(comp.n_unknowns)
@@ -311,11 +303,9 @@ def solve_dc(
     def polished(x: np.ndarray, iters: int, residual: float):
         # drop the gmin shunts for a true-KCL solution; nodes held up only
         # by gmin (e.g. capacitor-only nets) keep the shunted solution,
-        # whose device-KCL error is bounded by gmin * |v| << newton_tol
+        # whose device-KCL error is bounded by GMIN * |v| << NEWTON_TOL
         try:
-            x2, it2, res2 = comp.newton(
-                x, tol=newton_tol, max_iters=max_iters, context="gmin polish"
-            )
+            x2, it2, res2 = comp.newton(x, comp.b_dc, context="gmin polish")
             return x2, iters + it2, res2
         except (NonConvergence, SingularMatrix):
             return x, iters, residual
@@ -325,19 +315,17 @@ def solve_dc(
     # circuit it returns the exact solution in one step, whereas the
     # gmin rung's polish accepts a shunted answer off by ~gmin * |v|.
     def plain():
-        return comp.newton(zeros, tol=newton_tol, max_iters=max_iters, context="plain Newton")
+        return comp.newton(zeros, comp.b_dc, context="plain Newton")
 
     def with_gmin():
-        x, iters, residual = comp.newton(
-            zeros, gmin=gmin, tol=newton_tol, max_iters=max_iters, context="gmin Newton"
-        )
+        x, iters, residual = comp.newton(zeros, comp.b_dc, gmin=GMIN, context="gmin Newton")
         return polished(x, iters, residual)
 
     def source_stepping():
         x, total = zeros, 0
-        for scale in np.linspace(1.0 / source_steps, 1.0, source_steps):
+        for scale in np.linspace(1.0 / SOURCE_STEPS, 1.0, SOURCE_STEPS):
             x, iters, residual = comp.newton(
-                x, scale=float(scale), gmin=gmin, tol=newton_tol, max_iters=max_iters,
+                x, scale * comp.b_dc, gmin=GMIN,
                 context=f"source stepping at scale {scale:.2f}",
             )
             total += iters
@@ -467,8 +455,6 @@ def solve_transient(
     stimulus: dict[str, list[tuple[float, float]]],
     t_stop: float,
     dt: float,
-    newton_tol: float = DEFAULT_NEWTON_TOL,
-    max_iters: int = 50,
 ) -> TransientTrace:
     """Backward-Euler transient from the DC solution.
 
@@ -481,32 +467,26 @@ def solve_transient(
     if t_stop < dt:
         raise ValueError("t_stop must be >= dt")
     comp = _Compiled(circuit, models)
-    for sid in stimulus:
-        dev = None
+    # (points, vsource row | None, isource (p, m, dc) | None) per driven source
+    drives = []
+    for sid, points in stimulus.items():
         try:
             dev = circuit.device(sid)
         except KeyError:
-            pass
-        if dev is None or dev.kind not in (DeviceKind.VSOURCE, DeviceKind.ISOURCE):
+            dev = None
+        if dev is not None and dev.kind is DeviceKind.VSOURCE:
+            drives.append((points, comp.labels.index(f"I({sid})"), None))
+        elif dev is not None and dev.kind is DeviceKind.ISOURCE:
+            p = comp.node_index[dev.terminals[0]]
+            m = comp.node_index[dev.terminals[1]]
+            drives.append((points, None, (p, m, dev.value("DC"))))
+        else:
             raise SimulationError(f"stimulus target {sid!r} is not an independent source")
 
     n_steps = int(round(t_stop / dt))
     times = np.arange(n_steps + 1) * dt
     x = _dc_state_vector(comp, dc)
     c_over_dt = comp.c_mat / dt
-
-    # (points, vsource row | None, isource (p, m, dc) | None) per driven source
-    drives = []
-    for sid, points in stimulus.items():
-        dev = circuit.device(sid)
-        if dev.kind is DeviceKind.VSOURCE:
-            row = comp.n_nodes + [v.id for v in comp.vsources].index(sid)
-            drives.append((points, row, None))
-        else:
-            p = comp.node_index[dev.terminals[0]]
-            m = comp.node_index[dev.terminals[1]]
-            drives.append((points, None, (p, m, dev.value("DC"))))
-
     history = np.empty((n_steps + 1, comp.n_unknowns))
     history[0] = x
     for k in range(1, n_steps + 1):
@@ -522,19 +502,10 @@ def solve_transient(
                     b[p] += base - val
                 if m >= 0:
                     b[m] -= base - val
-        try:
-            x, _, _ = comp.newton(
-                x,
-                tol=newton_tol,
-                max_iters=max_iters,
-                b_override=b,
-                c_over_dt=c_over_dt,
-                x_prev=history[k - 1],
-                context=f"transient step {k} (t = {t:.6g} s)",
-            )
-        except NonConvergence as exc:
-            raise NonConvergence(exc.residual, exc.iterations,
-                                 f"transient step {k} (t = {t:.6g} s)") from None
+        x, _, _ = comp.newton(
+            x, b, max_iters=TRAN_MAX_ITERS, c_over_dt=c_over_dt, x_prev=history[k - 1],
+            context=f"transient step {k} (t = {t:.6g} s)",
+        )
         history[k] = x
 
     voltages = {"0": np.zeros(n_steps + 1)}

@@ -9,7 +9,7 @@ every LLM call, simulation, and optimizer call the run spends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .metrics import MetricReport, Spec
 from .mosfet import MosModelCard
@@ -38,25 +38,22 @@ class TranPlan:
 
 @dataclass
 class BudgetLedger:
-    llm_calls_used: int = 0
-    dc_sims_used: int = 0
+    """Spent budget, one field per counter of the trace's `budget` events."""
+
+    llm_calls: int = 0
+    opt_calls: int = 0
+    dc_sims: int = 0
     full_sims_llm: int = 0
     full_sims_opt: int = 0
-    optimizer_calls_used: int = 0
 
-    @property
-    def full_sims_used(self) -> int:
-        return self.full_sims_llm + self.full_sims_opt
+    def add(self, counter: str, delta: int = 1) -> int:
+        """Add `delta` to the named counter; returns its new total."""
+        total = getattr(self, counter) + delta
+        setattr(self, counter, total)
+        return total
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "llm_calls": self.llm_calls_used,
-            "opt_calls": self.optimizer_calls_used,
-            "dc_sims": self.dc_sims_used,
-            "full_sims_llm": self.full_sims_llm,
-            "full_sims_opt": self.full_sims_opt,
-            "full_sims_total": self.full_sims_used,
-        }
+        return {**asdict(self), "full_sims_total": self.full_sims_llm + self.full_sims_opt}
 
 
 @dataclass

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
+from .state import BudgetLedger
+
 EVENT_KINDS = (
     "agent_input",
     "agent_output",
@@ -22,8 +24,6 @@ EVENT_KINDS = (
     "budget",
     "warning",
 )
-
-BUDGET_COUNTERS = ("llm_calls", "opt_calls", "dc_sims", "full_sims_llm", "full_sims_opt")
 
 PHASE_TITLES = {
     1: "Topology analysis and initial sizing",
@@ -110,18 +110,11 @@ def load_trace(path: str) -> list[TraceEvent]:
 
 def summarize_accounting(events) -> dict[str, int]:
     """Fold budget events into the accounting row (all zeros when empty)."""
-    totals = {name: 0 for name in BUDGET_COUNTERS}
+    ledger = BudgetLedger()
     for e in events:
         if e.kind == "budget":
-            totals[e.payload["counter"]] += int(e.payload["delta"])
-    return {
-        "llm_calls": totals["llm_calls"],
-        "opt_calls": totals["opt_calls"],
-        "dc_sims": totals["dc_sims"],
-        "full_sims_llm": totals["full_sims_llm"],
-        "full_sims_opt": totals["full_sims_opt"],
-        "full_sims_total": totals["full_sims_llm"] + totals["full_sims_opt"],
-    }
+            ledger.add(e.payload["counter"], int(e.payload["delta"]))
+    return ledger.as_dict()
 
 
 def fom_series(events) -> list[tuple[int, float]]:

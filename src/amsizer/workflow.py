@@ -38,15 +38,6 @@ TOP_K_INITIAL_POINTS = 10
 STAGNATION_WINDOW = 5
 STAGNATION_MIN_IMPROVEMENT = 0.01
 
-# ledger attribute behind each trace budget counter
-_LEDGER_ATTRS = {
-    "llm_calls": "llm_calls_used",
-    "dc_sims": "dc_sims_used",
-    "full_sims_llm": "full_sims_llm",
-    "full_sims_opt": "full_sims_opt",
-    "opt_calls": "optimizer_calls_used",
-}
-
 
 class WorkflowError(RuntimeError):
     pass
@@ -177,10 +168,7 @@ class Workflow:
         self._trace("warning", "engine", {"message": message})
 
     def _bump(self, counter: str, delta: int = 1) -> None:
-        ledger = self.state.budgets
-        attr = _LEDGER_ATTRS[counter]
-        total = getattr(ledger, attr) + delta
-        setattr(ledger, attr, total)
+        total = self.state.budgets.add(counter, delta)
         self._trace("budget", "engine", {"counter": counter, "delta": delta, "total": total})
 
     def _rationale_text(self, schema_id: str, payload: dict) -> str:
@@ -436,7 +424,7 @@ class Workflow:
             initial_points=inits,
             budget=budget,
             algorithm=algorithm,
-            seed=self.seed + st.budgets.optimizer_calls_used,
+            seed=self.seed + st.budgets.opt_calls,
         )
         self._bump("opt_calls")
         self._trace(
@@ -518,7 +506,7 @@ class Workflow:
                     "next_tool": "full_sim",
                 }
             next_tool = review["next_tool"]
-            calls_left = caps.phase4_max_optimizer_calls - st.budgets.optimizer_calls_used
+            calls_left = caps.phase4_max_optimizer_calls - st.budgets.opt_calls
             advisor_section = "\n".join(
                 filter(
                     None,

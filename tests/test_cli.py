@@ -122,6 +122,38 @@ class TestSimulate:
         assert final_v == pytest.approx(1.0 - 2.718281828 ** -0.6284, abs=0.05)
 
 
+    def test_readme_transient_command_takes_si_suffixes(self, tmp_path, capsys):
+        netlist = tmp_path / "my_amp.sp"
+        netlist.write_text(
+            "Single-stage amplifier with a load cap\n"
+            "VDD vdd 0 DC 1.8\n"
+            "VIN in 0 DC 0.7 AC 1\n"
+            "M1 out in 0 0 NMOS W={W1} L=1u\n"
+            "RL vdd out 5k\n"
+            "CC out 0 {CC}\n"
+            ".end\n"
+        )
+        code, out, err = run_cli(
+            capsys, "simulate", str(netlist), "--param", "W1=8u", "--param", "CC=3p",
+            "--tran", "--input", "VIN", "--output", "out",
+            "--step-v", "0.1", "--t-stop", "1u", "--dt", "1n",
+        )
+        assert (code, err) == (0, "")
+        rows = [l.split(",") for l in out.strip().splitlines()[1:]]
+        assert len(rows) == 1001
+        assert float(rows[-1][0]) == pytest.approx(1e-6)
+        # an inverting stage: a positive input step pulls the output down
+        assert float(rows[-1][1]) < float(rows[0][1])
+
+    def test_bad_numeric_option_is_a_usage_error(self, tmp_path, capsys):
+        netlist = tmp_path / "rc.sp"
+        netlist.write_text(RC_LOWPASS)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(netlist), "--ac", "--f-lo", "{x}"])
+        assert exc.value.code == 2
+        assert "argument --f-lo: expected a number, got '{x}'" in capsys.readouterr().err
+
+
 class TestRun:
     def test_two_stage_run_writes_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

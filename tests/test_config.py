@@ -239,6 +239,11 @@ class TestDiagnostics:
             "specs: []\n")
         self.check(tmp_path, "specs: at least one", config=config)
 
+    def test_duplicate_spec_metric(self, tmp_path):
+        spec = '  - {metric: gain_db, direction: ">=", target: 0.5, hardness: hard}\n'
+        config = BASE_CONFIG.format(extra="").replace(spec, spec + spec.replace("0.5", "0.7"))
+        self.check(tmp_path, "specs: more than one spec for metric 'gain_db'", config=config)
+
     def test_unknown_metric(self, tmp_path):
         config = BASE_CONFIG.format(extra="").replace("gain_db", "gainz")
         self.check(tmp_path, r"specs\[0\]: unknown metric", config=config)

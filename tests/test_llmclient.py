@@ -149,6 +149,8 @@ class TestHttpBackend:
         assert resp.latency_ms >= 0.0
         payload = _StubHandler.seen[0]["payload"]
         assert payload["model"] == "m"
+        assert payload["temperature"] == 0.0
+        assert payload["max_tokens"] == 4096
         assert payload["messages"][0] == {"role": "system", "content": "system"}
         assert payload["messages"][1]["content"] == "question"
         assert _StubHandler.seen[0]["auth"] == "Bearer k"

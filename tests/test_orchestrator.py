@@ -398,7 +398,7 @@ class TestPhase1:
         assert state.matching_groups == []
         assert state.dc_goals == {"M1": "saturation"}
         assert state.sizing_history[-1].point == CS_SAT
-        assert state.budgets.llm_calls_used == 4
+        assert state.budgets.llm_calls == 4
 
     def test_schema_retry_costs_an_extra_call(self):
         entries = [("circuit_explainer", "no json here")] + list(self.PHASE1_OK)
@@ -406,7 +406,7 @@ class TestPhase1:
         trace = TraceLog()
         Workflow(state, ScriptedBackend(entries), trace).run_phase1()
         assert state.circuit_explanation == "one stage"
-        assert state.budgets.llm_calls_used == 5
+        assert state.budgets.llm_calls == 5
         retries = [e for e in trace.events if e.kind == "schema_retry"]
         assert len(retries) == 1
         assert retries[0].payload["attempt"] == 1
@@ -420,7 +420,7 @@ class TestPhase1:
         trace = TraceLog()
         Workflow(state, ScriptedBackend(entries), trace).run_phase1()
         assert state.matching_groups == []
-        assert state.budgets.llm_calls_used == 6
+        assert state.budgets.llm_calls == 6
         assert any("continuing with empty matching" in w for w in warnings_of(trace))
 
     def test_preset_matching_skips_finder(self):
@@ -433,7 +433,7 @@ class TestPhase1:
         ]
         trace = TraceLog()
         Workflow(state, ScriptedBackend(entries), trace).run_phase1()
-        assert state.budgets.llm_calls_used == 3
+        assert state.budgets.llm_calls == 3
         assert any("matching finder skipped" in w for w in warnings_of(trace))
 
     def test_out_of_bounds_initial_point_is_clamped(self):
@@ -458,8 +458,8 @@ class TestPhase2:
         entries = [("dc_reviewer", dc_review(True)), ("dc_sizer", proposal(CS_SAT))]
         trace = TraceLog()
         Workflow(state, ScriptedBackend(entries), trace).run_phase2()
-        assert state.budgets.dc_sims_used == 1
-        assert state.budgets.llm_calls_used == 2
+        assert state.budgets.dc_sims == 1
+        assert state.budgets.llm_calls == 2
         assert any("leaving phase 2" in w for w in warnings_of(trace))
 
     def test_cycle_cap_reached(self):
@@ -469,8 +469,8 @@ class TestPhase2:
         ] * 2
         trace = TraceLog()
         Workflow(state, ScriptedBackend(entries), trace).run_phase2(max_cycles=2)
-        assert state.budgets.dc_sims_used == 2
-        assert state.budgets.llm_calls_used == 4
+        assert state.budgets.dc_sims == 2
+        assert state.budgets.llm_calls == 4
         assert any("cycle cap reached" in w for w in warnings_of(trace))
 
     def test_failed_simulation_reported_as_data(self):
@@ -519,8 +519,8 @@ class TestPhase3:
         trace = TraceLog()
         Workflow(state, ScriptedBackend(entries), trace).run_phase3(max_full_sims=2)
         assert state.budgets.full_sims_llm == 2
-        assert state.budgets.dc_sims_used == 1
-        assert state.budgets.llm_calls_used == 6
+        assert state.budgets.dc_sims == 1
+        assert state.budgets.llm_calls == 6
         assert any("full-simulation cap reached" in w for w in warnings_of(trace))
 
     def test_exits_when_target_met(self):
@@ -572,8 +572,8 @@ class TestPhase4:
         trace = TraceLog()
         Workflow(state, ScriptedBackend(entries), trace, caps=caps).run_phase4()
         ledger = state.budgets
-        assert ledger.llm_calls_used == 4
-        assert ledger.optimizer_calls_used == 1
+        assert ledger.llm_calls == 4
+        assert ledger.opt_calls == 1
         assert ledger.full_sims_opt == 5  # budget clamped from 500
         assert ledger.full_sims_llm == 2  # one sim per cycle
         messages = warnings_of(trace)
@@ -651,7 +651,7 @@ class TestPhase4:
         Workflow(state, ScriptedBackend(entries), trace, caps=caps).run_phase4()
         assert state.sizing_history[-1].source == "equipped_sizer"
         assert state.sizing_history[-1].point == CS_TRIODE
-        assert state.budgets.optimizer_calls_used == 0
+        assert state.budgets.opt_calls == 0
 
     def test_no_calls_when_target_already_met(self):
         state = cs_state(specs=EASY)
@@ -662,7 +662,7 @@ class TestPhase4:
         ))
         trace = TraceLog()
         Workflow(state, ScriptedBackend([]), trace).run_phase4()
-        assert state.budgets.llm_calls_used == 0
+        assert state.budgets.llm_calls == 0
         assert any("leaving phase 4" in w for w in warnings_of(trace))
 
 

@@ -1,8 +1,10 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from amsizer.mosfet import (
@@ -12,8 +14,12 @@ from amsizer.mosfet import (
     mos_current,
     smooth_overdrive,
 )
-from amsizer.netlist import DeviceKind, parse_netlist
+from amsizer import simulator
+from amsizer.config import load_config
+from amsizer.netlist import DeviceKind, parse_netlist, substitute_parameters
 from amsizer.simulator import NonConvergence, SingularMatrix, solve_dc
+
+DATA = Path(__file__).parent / "data"
 
 NMOS_IDEAL = MosModelCard("NMOS", vth=0.4, kprime=200e-6, lam=0.0)
 PMOS_IDEAL = MosModelCard("PMOS", vth=0.4, kprime=80e-6, lam=0.0)
@@ -283,12 +289,40 @@ def test_singular_matrix_reported():
     assert exc.value.unknown
 
 
-def test_nonconvergence_reports_iterations():
+def test_nonconvergence_reports_iterations(monkeypatch):
+    monkeypatch.setattr(simulator, "DC_MAX_ITERS", 2)
     c = parse_netlist("I1 0 d 40u\nM1 d d 0 0 NMOS W=10u L=1u\n")
     with pytest.raises(NonConvergence) as exc:
-        solve_dc(c, {"NMOS": NMOS_IDEAL}, max_iters=2)
+        solve_dc(c, {"NMOS": NMOS_IDEAL})
     assert exc.value.iterations == 2
     assert exc.value.residual > 0
+
+
+def test_solve_linear_matches_scipy_lu_solve(monkeypatch):
+    """The direct LAPACK calls give lu_solve(lu_factor(j), -f) bit for bit,
+    on the Jacobians of two-stage DC solves."""
+    systems = []
+    solve = simulator._Compiled._solve_linear
+
+    def recording(comp, j, rhs):
+        systems.append((comp, j.copy(), rhs.copy()))
+        return solve(comp, j, rhs)
+
+    monkeypatch.setattr(simulator._Compiled, "_solve_linear", recording)
+    cfg = load_config(DATA / "two_stage_run.yaml")
+    mid = cfg.space.midpoint()
+    for point in (mid, {**mid, "W6": 1e-4, "CC": 1e-12}):
+        solve_dc(substitute_parameters(parse_netlist(cfg.netlist_text), point), cfg.model_cards)
+    solved = 0
+    for comp, j, rhs in systems:
+        try:
+            dx = solve(comp, j, rhs)
+        except SingularMatrix:
+            continue
+        ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(j), rhs)
+        assert dx.tobytes() == ref.tobytes()
+        solved += 1
+    assert solved >= 10
 
 
 def test_capacitor_only_node_is_tolerated():

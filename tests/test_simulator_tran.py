@@ -5,7 +5,7 @@ import pytest
 
 from amsizer.mosfet import DEFAULT_MODEL_CARDS
 from amsizer.netlist import parse_netlist
-from amsizer.simulator import _pwl_value, solve_dc, solve_transient
+from amsizer.simulator import SimulationError, _pwl_value, solve_dc, solve_transient
 
 
 def test_pwl_lookup():
@@ -61,6 +61,16 @@ def test_constant_override_equal_to_dc_also_holds():
     assert np.max(np.abs(trace.node_voltages["out"] - 0.5)) <= 1e-9
 
 
+def test_current_source_step():
+    # 1 mA -> 2 mA into R || C: v(t) = 2 V - 1 V * exp(-t / RC)
+    c = parse_netlist("I1 0 out DC 1m\nR1 out 0 1k\nC1 out 0 1u\n")
+    dc = solve_dc(c, {})
+    assert dc.node_voltages["out"] == pytest.approx(1.0, abs=1e-9)
+    rc = 1e-3
+    trace = solve_transient(c, {}, dc, {"I1": [(0.0, 2e-3)]}, t_stop=rc, dt=rc / 1000)
+    assert trace.node_voltages["out"][-1] == pytest.approx(2 - math.exp(-1), abs=1e-3)
+
+
 def test_ramp_stimulus_tracks_input():
     c = parse_netlist("V1 in 0 DC 0\nR1 in out 1\nC1 out 0 1p\n")
     dc = solve_dc(c, {})
@@ -84,6 +94,8 @@ def test_transient_validates_arguments():
     with pytest.raises(Exception) as exc:
         solve_transient(c, {}, dc, {"R1": [(0.0, 1.0)]}, t_stop=1e-6, dt=1e-7)
     assert "R1" in str(exc.value)
+    with pytest.raises(SimulationError, match="'VX' is not an independent source"):
+        solve_transient(c, {}, dc, {"VX": [(0.0, 1.0)]}, t_stop=1e-6, dt=1e-7)
 
 
 def test_mosfet_inverter_step():
