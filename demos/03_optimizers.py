@@ -6,7 +6,7 @@ Run:  python3 demos/03_optimizers.py
 
 import numpy as np
 
-from amsizer.netlist import MatchingGroup, ParameterSpace, SpaceEntry, apply_matching
+from amsizer.netlist import FeasibleSet, MatchingGroup, ParameterSpace, SpaceEntry
 from amsizer.optimizer import OptimizerRequest, optimize
 
 SPACE = ParameterSpace(tuple(SpaceEntry(f"x{i}", 0.0, 1.0) for i in range(4)))
@@ -48,7 +48,7 @@ def main() -> None:
         MatchingGroup("ratio", ("x2", "x3"), ratios=(1.0, 2.0)),
     )
     raw = {"x0": 0.30, "x1": 0.90, "x2": 0.20, "x3": 0.10}
-    projected = apply_matching(raw, groups)
+    projected = FeasibleSet(SPACE, groups).project(raw)
     print(f"  proposal  {raw}")
     print(f"  projected {projected}")
 

@@ -23,7 +23,6 @@ def load_role_prompt(name: str) -> str:
 @dataclass(frozen=True)
 class AgentSpec:
     name: str
-    phase: int
     context_keys: tuple[str, ...]
     tools: tuple[str, ...]
     output_schema: str
@@ -39,7 +38,6 @@ AGENTS: dict[str, AgentSpec] = {
     for spec in (
         AgentSpec(
             name="circuit_explainer",
-            phase=1,
             context_keys=("netlist",),
             tools=(),
             output_schema="explanation",
@@ -51,7 +49,6 @@ AGENTS: dict[str, AgentSpec] = {
         ),
         AgentSpec(
             name="matching_finder",
-            phase=1,
             context_keys=("netlist", "explanation"),
             tools=(),
             output_schema="matching_groups",
@@ -65,7 +62,6 @@ AGENTS: dict[str, AgentSpec] = {
         ),
         AgentSpec(
             name="dc_goal_setter",
-            phase=1,
             context_keys=("netlist", "explanation"),
             tools=(),
             output_schema="dc_goals",
@@ -76,7 +72,6 @@ AGENTS: dict[str, AgentSpec] = {
         ),
         AgentSpec(
             name="initial_designer",
-            phase=1,
             context_keys=("netlist", "explanation", "dc_goals"),
             tools=(),
             output_schema="sizing_proposal",
@@ -87,7 +82,6 @@ AGENTS: dict[str, AgentSpec] = {
         ),
         AgentSpec(
             name="dc_reviewer",
-            phase=2,
             context_keys=_LOOP_CONTEXT,
             tools=("dc_sim",),
             output_schema="dc_review",
@@ -99,7 +93,6 @@ AGENTS: dict[str, AgentSpec] = {
         ),
         AgentSpec(
             name="dc_sizer",
-            phase=2,
             context_keys=_LOOP_CONTEXT,
             tools=(),
             output_schema="sizing_proposal",
@@ -110,7 +103,6 @@ AGENTS: dict[str, AgentSpec] = {
         ),
         AgentSpec(
             name="specs_reviewer",
-            phase=3,
             context_keys=_LOOP_CONTEXT,
             tools=("full_sim", "dc_sim"),
             output_schema="specs_review",
@@ -123,7 +115,6 @@ AGENTS: dict[str, AgentSpec] = {
         ),
         AgentSpec(
             name="reasoning_sizer",
-            phase=3,
             context_keys=_LOOP_CONTEXT,
             tools=(),
             output_schema="sizing_proposal",
@@ -135,7 +126,6 @@ AGENTS: dict[str, AgentSpec] = {
         ),
         AgentSpec(
             name="advisor_reviewer",
-            phase=4,
             context_keys=_LOOP_CONTEXT,
             tools=("full_sim", "dc_sim"),
             output_schema="advisor_review",
@@ -148,7 +138,6 @@ AGENTS: dict[str, AgentSpec] = {
         ),
         AgentSpec(
             name="equipped_sizer",
-            phase=4,
             context_keys=_LOOP_CONTEXT,
             tools=("optimizer",),
             output_schema="equipped_sizing",
@@ -160,11 +149,4 @@ AGENTS: dict[str, AgentSpec] = {
             ),
         ),
     )
-}
-
-PHASE_AGENTS: dict[int, tuple[str, ...]] = {
-    1: ("circuit_explainer", "matching_finder", "dc_goal_setter", "initial_designer"),
-    2: ("dc_reviewer", "dc_sizer"),
-    3: ("specs_reviewer", "reasoning_sizer"),
-    4: ("advisor_reviewer", "equipped_sizer"),
 }

@@ -18,9 +18,12 @@ Node "0" is ground and must be present in every circuit.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 
 class NetlistError(ValueError):
@@ -66,9 +69,6 @@ class Device:
             raise BindingError(f"{self.id}: slot {slot} is unbound placeholder {{{v.name}}}")
         return v
 
-    def is_numeric(self) -> bool:
-        return not any(isinstance(v, Param) for v in self.values.values())
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -85,9 +85,6 @@ class Circuit:
 
     def mosfets(self) -> list[Device]:
         return [d for d in self.devices if d.kind is DeviceKind.MOSFET]
-
-    def sources(self) -> list[Device]:
-        return [d for d in self.devices if d.kind in (DeviceKind.VSOURCE, DeviceKind.ISOURCE)]
 
     def is_numeric(self) -> bool:
         return not self.params
@@ -129,18 +126,8 @@ class ParameterSpace:
                 return e
         raise KeyError(name)
 
-    def clamp(self, point: dict[str, float]) -> dict[str, float]:
-        """Clip every known parameter into its [lo, hi] range."""
-        out = dict(point)
-        for e in self.entries:
-            if e.name in out:
-                out[e.name] = min(max(out[e.name], e.lo), e.hi)
-        return out
-
     def midpoint(self) -> dict[str, float]:
         """Centre of the box (geometric centre for log-scaled entries)."""
-        import math
-
         out = {}
         for e in self.entries:
             if e.scale == "log":
@@ -407,7 +394,7 @@ def serialize_netlist(c: Circuit) -> str:
 
 
 # ---------------------------------------------------------------------------
-# binding and matching
+# binding and the feasible set
 
 def bind_parameters(
     c: Circuit, space: ParameterSpace, point: dict[str, float]
@@ -451,28 +438,14 @@ def substitute_parameters(c: Circuit, point: dict[str, float]) -> Circuit:
     return Circuit(tuple(devices), c.nets, (), c.title)
 
 
-def apply_matching(
-    point: dict[str, float], groups: list[MatchingGroup] | tuple[MatchingGroup, ...]
-) -> dict[str, float]:
-    """Project a point onto the matching constraints.
-
-    Equal groups copy the first member's value to the rest; ratio groups
-    set member i to value(member 0) * ratios[i] / ratios[0].  Idempotent,
-    and parameters outside any group are untouched.
-    """
-    out = dict(point)
-    for g in groups:
-        for m in g.members:
-            if m not in out:
-                raise KeyError(f"matching group member {m!r} not in point")
-        lead = out[g.members[0]]
-        if g.kind == "equal":
-            for m in g.members[1:]:
-                out[m] = lead
-        else:
-            for m, r in zip(g.members[1:], g.ratios[1:]):
-                out[m] = lead * r / g.ratios[0]
-    return out
+def _leader_range(g: MatchingGroup, space: ParameterSpace) -> tuple[float, float]:
+    """Leader values that keep every member of ratio group `g` in its bounds."""
+    lo, hi = -math.inf, math.inf
+    for m, r in zip(g.members, g.ratios):
+        e = space.entry(m)
+        scale = r / g.ratios[0]  # the member's value is leader * scale
+        lo, hi = max(lo, e.lo / scale), min(hi, e.hi / scale)
+    return lo, hi
 
 
 def validate_matching_groups(
@@ -480,22 +453,80 @@ def validate_matching_groups(
 ) -> list[str]:
     """Return a list of problems (empty when the groups are usable).
 
-    Equal-group members must share identical bounds so that matching and
-    range clamping cannot fight each other.
+    Every member must be a space parameter in at most one group.  Equal-group
+    members must share identical bounds, and a ratio group needs a leader
+    value that keeps every member in bounds, so that matching and range
+    clamping cannot fight each other.
     """
     problems = []
     names = set(space.names)
+    grouped: set[str] = set()
     for g in groups:
-        unknown = [m for m in g.members if m not in names]
+        members = list(g.members)
+        unknown = [m for m in members if m not in names]
         if unknown:
             problems.append(f"matching group references unknown parameters {unknown}")
             continue
+        shared = [m for m in members if m in grouped]
+        if shared:
+            problems.append(f"matching group {members}: {shared} already in another group")
+        grouped.update(members)
         if g.kind == "equal":
-            e0 = space.entry(g.members[0])
-            for m in g.members[1:]:
+            e0 = space.entry(members[0])
+            for m in members[1:]:
                 e = space.entry(m)
                 if (e.lo, e.hi) != (e0.lo, e0.hi):
                     problems.append(
-                        f"equal group {list(g.members)}: {m!r} has different bounds than {g.members[0]!r}"
+                        f"equal group {members}: {m!r} has different bounds than {members[0]!r}"
                     )
+        else:
+            lo, hi = _leader_range(g, space)
+            if lo > hi:
+                problems.append(f"ratio group {members} cannot be satisfied inside the bounds")
     return problems
+
+
+class FeasibleSet:
+    """The points that satisfy the matching groups and the parameter bounds.
+
+    Projection clips every parameter into its range, copies each equal
+    group's clipped leader to its members, and clips each ratio group's
+    leader to the range where every member stays in bounds before scaling
+    it; a scaled member is clipped once more to its own bounds, since
+    `leader * scale` may round one ulp past them.  Projected points are
+    fixed points: projecting them again returns the same bits.
+    """
+
+    def __init__(
+        self, space: ParameterSpace, groups: list[MatchingGroup] | tuple[MatchingGroup, ...] = ()
+    ):
+        problems = validate_matching_groups(groups, space)
+        if problems:
+            raise ValueError("; ".join(problems))
+        self.names = space.names
+        index = {n: i for i, n in enumerate(self.names)}
+        self.lo = np.array([e.lo for e in space.entries])
+        self.hi = np.array([e.hi for e in space.entries])
+        self._source = np.arange(len(self.names))
+        self._ratio = []
+        for g in groups:
+            cols = [index[m] for m in g.members]
+            if g.kind == "equal":
+                self._source[cols] = cols[0]
+            else:
+                lo, hi = _leader_range(g, space)
+                scales = np.array([r / g.ratios[0] for r in g.ratios])
+                self._ratio.append((cols[0], lo, hi, cols, scales))
+
+    def project_matrix(self, v: np.ndarray) -> np.ndarray:
+        """Project each row (columns in `names` order) into the set."""
+        v = np.clip(np.atleast_2d(v), self.lo, self.hi)[:, self._source]
+        for lead, lo, hi, cols, scales in self._ratio:
+            scaled = np.clip(v[:, lead], lo, hi)[:, None] * scales
+            v[:, cols] = np.clip(scaled, self.lo[cols], self.hi[cols])
+        return v
+
+    def project(self, point: dict[str, float]) -> dict[str, float]:
+        """The projected point, keyed by parameter name in `names` order."""
+        row = self.project_matrix(np.array([float(point[n]) for n in self.names]))[0]
+        return dict(zip(self.names, row.tolist()))

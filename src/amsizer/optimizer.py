@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .gp import GpError, GpHyper, gp_fit, gp_predict
-from .netlist import MatchingGroup, ParameterSpace, apply_matching
+from .netlist import FeasibleSet, MatchingGroup, ParameterSpace
 
 ALGORITHMS = ("bo", "de")
 EI_CANDIDATES = 1024
@@ -52,17 +52,13 @@ class _Codec:
     """Dict <-> unit-cube vector conversion for a ParameterSpace."""
 
     def __init__(self, space: ParameterSpace):
-        self.space = space
         self.names = list(space.names)
         self.dim = len(self.names)
-        self.index = {n: i for i, n in enumerate(self.names)}
         self.log = np.array([e.scale == "log" for e in space.entries])
         lo = np.array([e.lo for e in space.entries])
         hi = np.array([e.hi for e in space.entries])
         self.lo = np.where(self.log, np.log(np.where(self.log, lo, 1.0)), lo)
         self.hi = np.where(self.log, np.log(np.where(self.log, hi, 1.0)), hi)
-        self.real_lo = lo
-        self.real_hi = hi
 
     def decode_matrix(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(z)
@@ -81,64 +77,6 @@ class _Codec:
         return np.array([float(point[n]) for n in self.names])
 
 
-class _Projector:
-    """Project real-valued points onto matching groups and bounds.
-
-    Matching is applied by propagating each group leader, the leader is
-    clamped into the effective range where every derived member stays in
-    bounds, and free parameters are clamped directly, so the projected
-    point is always a fixed point of apply_matching.
-    """
-
-    def __init__(self, codec: _Codec, matching: tuple[MatchingGroup, ...]):
-        self.codec = codec
-        self.matching = matching
-        seen: set[str] = set()
-        self.groups = []
-        for g in matching:
-            for m in g.members:
-                if m not in codec.index:
-                    raise ValueError(f"matching group member {m!r} not in the parameter space")
-                if m in seen:
-                    raise ValueError(f"parameter {m!r} appears in more than one matching group")
-                seen.add(m)
-            cols = [codec.index[m] for m in g.members]
-            ratios = g.ratios if g.kind == "ratio" else tuple(1.0 for _ in g.members)
-            lo_eff, hi_eff = -math.inf, math.inf
-            for c, r in zip(cols, ratios):
-                # leader value L makes member value L * r / r0
-                scale = r / ratios[0]
-                lo_eff = max(lo_eff, codec.real_lo[c] / scale)
-                hi_eff = min(hi_eff, codec.real_hi[c] / scale)
-            if lo_eff > hi_eff:
-                raise ValueError(
-                    f"matching group {list(g.members)} cannot be satisfied inside the bounds"
-                )
-            self.groups.append((cols, [r / ratios[0] for r in ratios], lo_eff, hi_eff))
-        self.free_cols = np.array(
-            [i for n, i in codec.index.items() if n not in seen], dtype=int
-        )
-
-    def project_matrix(self, v: np.ndarray) -> np.ndarray:
-        v = np.atleast_2d(v).copy()
-        for cols, scales, lo_eff, hi_eff in self.groups:
-            lead = np.clip(v[:, cols[0]], lo_eff, hi_eff)
-            for c, s in zip(cols, scales):
-                v[:, c] = lead * s
-        if len(self.free_cols):
-            fc = self.free_cols
-            v[:, fc] = np.clip(
-                v[:, fc], self.codec.real_lo[fc], self.codec.real_hi[fc]
-            )
-        return v
-
-    def project_dict(self, point: dict[str, float]) -> dict[str, float]:
-        row = self.project_matrix(self.codec.from_dict(point))[0]
-        out = dict(point)
-        out.update(self.codec.to_dict(row))
-        return out
-
-
 @dataclass(frozen=True)
 class OptimizerRequest:
     space: ParameterSpace
@@ -153,19 +91,16 @@ class OptimizerRequest:
             raise ValueError("budget must be >= 1")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        codec = _Codec(self.space)
-        _Projector(codec, self.matching)  # validates the groups
+        feasible = FeasibleSet(self.space, self.matching)  # validates the groups
         for point, fom in self.initial_points:
             missing = [n for n in self.space.names if n not in point]
             if missing:
                 raise ValueError(f"initial point is missing parameters {missing}")
-            projected = apply_matching(point, self.matching)
-            for e in self.space.entries:
-                v = projected[e.name]
-                if not (e.lo <= v <= e.hi):
+            for name, v in feasible.project(point).items():
+                if v != point[name]:
                     raise ValueError(
-                        f"initial point leaves the space after matching: "
-                        f"{e.name} = {v} outside [{e.lo}, {e.hi}]"
+                        f"initial point is not feasible: {name} = {point[name]} "
+                        f"projects to {v} under matching and bounds"
                     )
             if not math.isfinite(fom):
                 raise ValueError("initial point fom must be finite")
@@ -247,18 +182,16 @@ def optimize(
 ) -> OptimizerResult:
     """Run the requested algorithm for exactly `req.budget` objective calls."""
     codec = _Codec(req.space)
-    projector = _Projector(codec, req.matching)
+    feasible = FeasibleSet(req.space, req.matching)
     run = _BudgetedObjective(objective, req.budget, on_evaluation)
     rng = np.random.default_rng(req.seed)
 
-    init_pts = [
-        (projector.project_dict(apply_matching(p, req.matching)), f)
-        for p, f in req.initial_points
-    ]
+    # the request guarantees its initial points are already feasible
+    init_pts = list(req.initial_points)
     if req.algorithm == "bo":
-        _run_bo(req, run, codec, projector, rng, init_pts)
+        _run_bo(req, run, codec, feasible, rng, init_pts)
     else:
-        _run_de(req, run, codec, projector, rng, init_pts)
+        _run_de(req, run, codec, feasible, rng, init_pts)
 
     best_point: dict[str, float] | None = None
     best_fom = -math.inf
@@ -278,12 +211,12 @@ def optimize(
 
 
 def _random_points(
-    rng: np.random.Generator, n: int, codec: _Codec, projector: _Projector
+    rng: np.random.Generator, n: int, codec: _Codec, feasible: FeasibleSet
 ) -> np.ndarray:
-    return projector.project_matrix(codec.decode_matrix(rng.random((n, codec.dim))))
+    return feasible.project_matrix(codec.decode_matrix(rng.random((n, codec.dim))))
 
 
-def _run_bo(req, run, codec, projector, rng, init_pts):
+def _run_bo(req, run, codec, feasible, rng, init_pts):
     xs: list[np.ndarray] = []
     ys: list[float] = []
     for p, f in init_pts:
@@ -291,7 +224,7 @@ def _run_bo(req, run, codec, projector, rng, init_pts):
         ys.append(f)
     if not xs and run.remaining > 0:
         n_seed = min(run.remaining, max(3, 2 * codec.dim))
-        seeds = _random_points(rng, n_seed, codec, projector)
+        seeds = _random_points(rng, n_seed, codec, feasible)
         foms = run.eval_batch([codec.to_dict(r) for r in seeds])
         for r, f in zip(codec.encode_matrix(seeds), foms):
             xs.append(r)
@@ -309,23 +242,23 @@ def _run_bo(req, run, codec, projector, rng, init_pts):
                 scale = 1.0
             model = gp_fit(np.array(xs), y / scale, GpHyper())
             f_star = float(np.max(y)) / scale
-            cand_v = _random_points(rng, EI_CANDIDATES, codec, projector)
+            cand_v = _random_points(rng, EI_CANDIDATES, codec, feasible)
             cand_z = codec.encode_matrix(cand_v)
             mean, var = gp_predict(model, cand_z)
             ei = expected_improvement(mean, var, f_star)
             top = np.argsort(-ei)[:EI_REFINE_TOP]
             best_z, best_ei = None, -1.0
             for idx in top:
-                z, e = _refine_ei(cand_z[idx], model, f_star, codec, projector)
+                z, e = _refine_ei(cand_z[idx], model, f_star, codec, feasible)
                 if e > best_ei:
                     best_z, best_ei = z, e
             # a proposal on top of known data adds nothing: explore instead
             if xs and float(np.min(np.sum((np.array(xs) - best_z) ** 2, axis=1))) < 1e-16:
-                proposal_v = _random_points(rng, 1, codec, projector)[0]
+                proposal_v = _random_points(rng, 1, codec, feasible)[0]
             else:
-                proposal_v = projector.project_matrix(codec.decode_matrix(best_z))[0]
+                proposal_v = feasible.project_matrix(codec.decode_matrix(best_z))[0]
         except GpError:
-            proposal_v = _random_points(rng, 1, codec, projector)[0]
+            proposal_v = _random_points(rng, 1, codec, feasible)[0]
         fom = run.eval_batch([codec.to_dict(proposal_v)])
         if not fom:
             break
@@ -333,11 +266,11 @@ def _run_bo(req, run, codec, projector, rng, init_pts):
         ys.append(fom[0])
 
 
-def _refine_ei(z0, model, f_star, codec, projector):
+def _refine_ei(z0, model, f_star, codec, feasible):
     """Coordinate-descent polish of an EI candidate, derivative-free."""
 
     def ei_at(z):
-        zp = codec.encode_matrix(projector.project_matrix(codec.decode_matrix(z)))[0]
+        zp = codec.encode_matrix(feasible.project_matrix(codec.decode_matrix(z)))[0]
         mean, var = gp_predict(model, zp)
         return float(expected_improvement(mean, var, f_star)[0]), zp
 
@@ -359,9 +292,9 @@ def _refine_ei(z0, model, f_star, codec, projector):
     return z, cur_ei
 
 
-def _run_de(req, run, codec, projector, rng, init_pts):
+def _run_de(req, run, codec, feasible, rng, init_pts):
     if req.budget < 4 and not init_pts:
-        pts = _random_points(rng, run.remaining, codec, projector)
+        pts = _random_points(rng, run.remaining, codec, feasible)
         run.eval_batch([codec.to_dict(r) for r in pts])
         return
     pop_size = max(4, min(DE_MAX_POP, req.budget))
@@ -370,7 +303,7 @@ def _run_de(req, run, codec, projector, rng, init_pts):
     pop_f = [f for _, f in seeded]
     n_fill = pop_size - len(pop_v)
     if n_fill > 0:
-        fill = _random_points(rng, n_fill, codec, projector)
+        fill = _random_points(rng, n_fill, codec, feasible)
         fill = fill[: max(run.remaining, 0)]
         foms = run.eval_batch([codec.to_dict(r) for r in fill])
         for r, f in zip(fill, foms):
@@ -378,14 +311,14 @@ def _run_de(req, run, codec, projector, rng, init_pts):
             pop_f.append(f)
     if run.remaining <= 0 or len(pop_v) < 4:
         if run.remaining > 0:
-            pts = _random_points(rng, run.remaining, codec, projector)
+            pts = _random_points(rng, run.remaining, codec, feasible)
             run.eval_batch([codec.to_dict(r) for r in pts])
         return
     pop_z = codec.encode_matrix(np.array(pop_v))
     pop_f = np.array(pop_f)
     while run.remaining > 0:
         trials_z = de_step(pop_z, DE_F_WEIGHT, DE_CROSSOVER, rng)
-        trials_v = projector.project_matrix(codec.decode_matrix(trials_z))
+        trials_v = feasible.project_matrix(codec.decode_matrix(trials_z))
         k = min(len(trials_v), run.remaining)
         foms = run.eval_batch([codec.to_dict(r) for r in trials_v[:k]])
         trials_zp = codec.encode_matrix(trials_v)

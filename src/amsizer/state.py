@@ -9,7 +9,7 @@ every LLM call, simulation, and optimizer call the run spends.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .metrics import MetricReport, Spec
 from .mosfet import MosModelCard
@@ -48,12 +48,17 @@ class BudgetLedger:
 
     def add(self, counter: str, delta: int = 1) -> int:
         """Add `delta` to the named counter; returns its new total."""
+        if counter not in _LEDGER_FIELDS:
+            raise ValueError(f"unknown budget counter {counter!r}")
         total = getattr(self, counter) + delta
         setattr(self, counter, total)
         return total
 
     def as_dict(self) -> dict[str, int]:
         return {**asdict(self), "full_sims_total": self.full_sims_llm + self.full_sims_opt}
+
+
+_LEDGER_FIELDS = frozenset(f.name for f in fields(BudgetLedger))
 
 
 @dataclass

@@ -113,7 +113,12 @@ def summarize_accounting(events) -> dict[str, int]:
     ledger = BudgetLedger()
     for e in events:
         if e.kind == "budget":
-            ledger.add(e.payload["counter"], int(e.payload["delta"]))
+            try:
+                ledger.add(e.payload["counter"], int(e.payload["delta"]))
+            except KeyError as exc:
+                raise ValueError(f"budget event {e.seq} has no {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"budget event {e.seq}: {exc}") from exc
     return ledger.as_dict()
 
 

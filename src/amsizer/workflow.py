@@ -22,7 +22,7 @@ from .agents import AGENTS
 from .context import assemble_context
 from .llm import ChatRequest
 from .metrics import evaluate, extract_metrics
-from .netlist import apply_matching, bind_parameters, validate_matching_groups
+from .netlist import FeasibleSet, bind_parameters
 from .optimizer import OptimizerRequest, optimize
 from .schema import SchemaContext, SchemaFailure, enforce_schema, schema_hint
 from .simulator import SimulationError, solve_ac, solve_dc, solve_transient
@@ -153,10 +153,10 @@ class Workflow:
             space=state.space,
             mosfet_names=tuple(d.id for d in state.circuit.mosfets()),
         )
-        if state.matching_groups:
-            problems = validate_matching_groups(state.matching_groups, state.space)
-            if problems:
-                raise WorkflowError("; ".join(problems))
+        try:  # rebuilt in phase 1 if the matching finder supplies the groups
+            self.feasible = FeasibleSet(state.space, state.matching_groups)
+        except ValueError as exc:
+            raise WorkflowError(str(exc)) from exc
 
     # ------------------------------------------------------------------
     # plumbing
@@ -232,15 +232,12 @@ class Workflow:
         self._note(f"{agent_name}: {exc}; {consequence}")
 
     def _constrain(self, point: dict[str, float], actor: str) -> dict[str, float]:
-        """Force a proposal through matching groups and bounds."""
-        adjusted = self.state.space.clamp(
-            apply_matching(point, tuple(self.state.matching_groups))
-        )
-        ordered = {name: adjusted[name] for name in self.state.space.names}
-        changed = [n for n in ordered if ordered[n] != point.get(n)]
+        """Project a proposal into the feasible set of matching groups and bounds."""
+        projected = self.feasible.project(point)
+        changed = [n for n in projected if projected[n] != point.get(n)]
         if changed:
             self._note(f"{actor}: matching/bounds adjusted {', '.join(changed)}")
-        return ordered
+        return projected
 
     # ------------------------------------------------------------------
     # simulation tools
@@ -309,6 +306,7 @@ class Workflow:
             except SchemaFailure as exc:
                 self._schema_warning("matching_finder", exc, "continuing with empty matching")
                 st.matching_groups = []
+            self.feasible = FeasibleSet(st.space, st.matching_groups)
         try:
             st.dc_goals = dict(self._ask("dc_goal_setter")["goals"])
         except SchemaFailure as exc:
@@ -341,11 +339,11 @@ class Workflow:
             return
         self.state.sizing_history.append(HistoryEntry(point=point, source=agent_name))
 
-    def run_phase2(self, max_cycles: int = PHASE2_MAX_CYCLES) -> None:
+    def run_phase2(self) -> None:
         st = self.state
         st.phase = 2
         last_sim: HistoryEntry | None = None
-        for _cycle in range(max_cycles):
+        for _cycle in range(self.caps.phase2_max_cycles):
             if self._dc_goals_met(last_sim):
                 self._note("all DC operating-region goals met; leaving phase 2")
                 return
@@ -377,7 +375,8 @@ class Workflow:
         best = self.state.best_fom()
         return best if best is not None else 0.0
 
-    def run_phase3(self, max_full_sims: int = PHASE3_MAX_FULL_SIMS) -> None:
+    def run_phase3(self) -> None:
+        max_full_sims = self.caps.phase3_max_full_sims
         st = self.state
         st.phase = 3
         full_sims_here = 0
@@ -475,8 +474,8 @@ class Workflow:
                 )
             )
 
-    def run_phase4(self, caps: PhaseCaps | None = None) -> None:
-        caps = caps or self.caps
+    def run_phase4(self) -> None:
+        caps = self.caps
         st = self.state
         st.phase = 4
         next_tool = "full_sim"
@@ -552,11 +551,11 @@ class Workflow:
     def run(self) -> RunResult:
         st = self.state
         self.run_phase1()
-        self.run_phase2(self.caps.phase2_max_cycles)
+        self.run_phase2()
         if self._best_fom() < 1.0:
-            self.run_phase3(self.caps.phase3_max_full_sims)
+            self.run_phase3()
         if self._best_fom() < 1.0:
-            self.run_phase4(self.caps)
+            self.run_phase4()
         best = st.best_entry()
         if best is not None:
             best_point, best_fom = dict(best.point), best.fom

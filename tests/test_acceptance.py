@@ -23,7 +23,6 @@ from amsizer.mosfet import DEFAULT_MODEL_CARDS, MosModelCard
 from amsizer.netlist import (
     ParameterSpace,
     SpaceEntry,
-    apply_matching,
     bind_parameters,
     parse_netlist,
     serialize_netlist,
@@ -358,19 +357,20 @@ def test_criterion_8_property_suites():
         assert c2.params == c.params and c2.nets == c.nets
         assert [d.id for d in c2.devices] == [d.id for d in c.devices]
 
-    # apply_matching idempotence on random points
-    from amsizer.netlist import MatchingGroup
+    # matching projection idempotence on random points
+    from amsizer.netlist import FeasibleSet, MatchingGroup
 
     groups = (
         MatchingGroup("equal", ("W1", "W2")),
         MatchingGroup("ratio", ("W3", "W4"), ratios=(1.0, 4.0)),
     )
+    names = ("W1", "W2", "W3", "W4", "L")
+    feasible = FeasibleSet(ParameterSpace(tuple(SpaceEntry(n, 1e-6, 1e-4) for n in names)), groups)
     nrng = np.random.default_rng(7)
     for _ in range(200):
-        point = {n: float(v) for n, v in zip(
-            ("W1", "W2", "W3", "W4", "L"), nrng.uniform(1e-6, 1e-4, 5))}
-        once = apply_matching(point, groups)
-        assert apply_matching(once, groups) == once
+        point = {n: float(v) for n, v in zip(names, nrng.uniform(1e-6, 1e-4, 5))}
+        once = feasible.project(point)
+        assert feasible.project(once) == once
 
     # fom monotonicity: improving one metric never lowers the fom
     metrics_pool = ("gain_db", "ugbw_hz", "phase_margin_deg", "power_w", "slew_rate_vps")

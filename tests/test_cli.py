@@ -313,6 +313,19 @@ class TestReport:
         assert out.startswith("# Sizing run report")
         assert "## Accounting" in out
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"counter": "llm_tokens", "delta": 1}, "budget event 3: unknown budget counter 'llm_tokens'"),
+        ({"counter": "llm_calls"}, "budget event 3 has no 'delta'"),
+        ({"delta": 1}, "budget event 3 has no 'counter'"),
+    ])
+    def test_bad_budget_event_exits_1(self, tmp_path, capsys, payload, message):
+        event = {"seq": 3, "timestamp": 0.0, "phase": 1, "actor": "engine",
+                 "kind": "budget", "payload": payload}
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(json.dumps(event) + "\n")
+        code, out, err = run_cli(capsys, "report", str(trace))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

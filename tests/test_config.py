@@ -279,6 +279,37 @@ class TestDiagnostics:
         self.check(tmp_path, "matching:",
                    extra="matching:\n  - {kind: equal, members: [W1, WX]}\n")
 
+    def _two_stage_with_matching(self, tmp_path, matching):
+        config = (DATA / "two_stage_run.yaml").read_text()
+        config = config.replace("two_stage.sp", "cs.sp").replace("two_stage_scenario", "scenario")
+        return write_run(tmp_path, config=config + "matching:\n" + matching,
+                         netlist=(DATA / "two_stage.sp").read_text())
+
+    def test_matching_overlapping_groups(self, tmp_path):
+        path = self._two_stage_with_matching(
+            tmp_path,
+            "  - {kind: equal, members: [W1, W2]}\n"
+            "  - {kind: ratio, members: [W2, W3], ratios: [1, 2]}\n",
+        )
+        with pytest.raises(ConfigError, match=r"matching: .*\['W2'\] already in another group"):
+            load_config(path)
+
+    def test_matching_infeasible_ratio_group(self, tmp_path):
+        # W1 = 2000 * L >= 4e-4 leaves W1's range [1e-6, 2e-4]
+        path = self._two_stage_with_matching(
+            tmp_path, "  - {kind: ratio, members: [L, W1], ratios: [1, 2000]}\n"
+        )
+        with pytest.raises(ConfigError, match="cannot be satisfied inside the bounds"):
+            load_config(path)
+
+    def test_readme_matching_example_loads(self, tmp_path):
+        path = self._two_stage_with_matching(
+            tmp_path,
+            "  - {kind: equal, members: [W1, W2]}\n"
+            "  - {kind: ratio, members: [W3, W4], ratios: [1, 4]}\n",
+        )
+        assert [g.kind for g in load_config(path).matching] == ["equal", "ratio"]
+
     def test_bad_backend_kind(self, tmp_path):
         config = BASE_CONFIG.format(extra="").replace("kind: scripted", "kind: psychic")
         self.check(tmp_path, "backend.kind: expected 'scripted' or 'http'", config=config)

@@ -1,8 +1,11 @@
 """Tests for deterministic prompt-context rendering."""
 
+from pathlib import Path
+
 import pytest
 
 from amsizer.agents import AGENTS
+from amsizer.config import build_backend, build_state, load_config
 from amsizer.context import assemble_context
 from amsizer.metrics import Spec, evaluate, extract_metrics
 from amsizer.mosfet import DEFAULT_MODEL_CARDS
@@ -15,6 +18,10 @@ from amsizer.netlist import (
 )
 from amsizer.simulator import solve_ac, solve_dc
 from amsizer.state import AcPlan, BudgetLedger, HistoryEntry, WorkflowState
+from amsizer.trace import TraceLog
+from amsizer.workflow import Workflow
+
+DATA = Path(__file__).parent / "data"
 
 NETLIST = """One-transistor common-source test stage
 VDD vdd 0 DC 1.8
@@ -133,7 +140,7 @@ class TestSections:
         from amsizer.agents import AgentSpec
 
         bogus = AgentSpec(
-            name="dc_sizer", phase=2, context_keys=("netlist", "bogus"),
+            name="dc_sizer", context_keys=("netlist", "bogus"),
             tools=(), output_schema="sizing_proposal", task="t",
         )
         with pytest.raises(KeyError, match="bogus"):
@@ -161,8 +168,15 @@ class TestAgentRoster:
         assert AGENTS["equipped_sizer"].tools == ("optimizer",)
 
     def test_phase_assignment(self):
-        phases = {name: spec.phase for name, spec in AGENTS.items()}
-        assert phases == {
+        # the scripted folded-cascode run calls all ten agents
+        cfg = load_config(str(DATA / "folded_cascode_run.yaml"))
+        trace = TraceLog()
+        Workflow(build_state(cfg), build_backend(cfg), trace, seed=cfg.seed).run()
+        phases: dict[str, set[int]] = {}
+        for e in trace.events:
+            if e.kind == "agent_input":
+                phases.setdefault(e.actor, set()).add(e.phase)
+        assert {name: phase for name, (phase,) in phases.items()} == {
             "circuit_explainer": 1, "matching_finder": 1,
             "dc_goal_setter": 1, "initial_designer": 1,
             "dc_reviewer": 2, "dc_sizer": 2,

@@ -8,12 +8,12 @@ from amsizer.netlist import (
     Circuit,
     Device,
     DeviceKind,
+    FeasibleSet,
     MatchingGroup,
     NetlistError,
     Param,
     ParameterSpace,
     SpaceEntry,
-    apply_matching,
     bind_parameters,
     parse_netlist,
     parse_value,
@@ -190,14 +190,14 @@ def test_bind_space_param_not_in_circuit():
     assert "ghost" in str(exc.value)
 
 
-def test_space_clamp_and_midpoint():
+def test_space_projection_and_midpoint():
     space = ParameterSpace(
         (
             SpaceEntry("a", 0.0, 10.0),
             SpaceEntry("b", 1.0, 100.0, scale="log"),
         )
     )
-    assert space.clamp({"a": -5.0, "b": 1e4}) == {"a": 0.0, "b": 100.0}
+    assert FeasibleSet(space).project({"a": -5.0, "b": 1e4}) == {"a": 0.0, "b": 100.0}
     mid = space.midpoint()
     assert mid["a"] == 5.0
     assert mid["b"] == pytest.approx(10.0)
@@ -215,28 +215,107 @@ def test_space_validation():
 # ---------------------------------------------------------------------------
 # matching
 
-def test_apply_matching_equal():
+def test_project_equal_group():
     g = MatchingGroup("equal", ("W1", "W2"))
-    out = apply_matching({"W1": 3.0, "W2": 7.0, "W3": 9.0}, [g])
+    space = _space(W1=(0.0, 10.0), W2=(0.0, 10.0), W3=(0.0, 10.0))
+    out = FeasibleSet(space, [g]).project({"W1": 3.0, "W2": 7.0, "W3": 9.0})
     assert out == {"W1": 3.0, "W2": 3.0, "W3": 9.0}
 
 
-def test_apply_matching_ratio():
+def test_project_ratio_group():
     g = MatchingGroup("ratio", ("W3", "W4"), ratios=(1.0, 2.0))
-    out = apply_matching({"W3": 5.0, "W4": 1.0}, [g])
+    space = _space(W3=(0.0, 100.0), W4=(0.0, 100.0))
+    out = FeasibleSet(space, [g]).project({"W3": 5.0, "W4": 1.0})
     assert out == {"W3": 5.0, "W4": 10.0}
 
 
-def test_apply_matching_idempotent():
+def test_project_idempotent():
     rng = random.Random(7)
     groups = [
         MatchingGroup("equal", ("a", "b", "c")),
         MatchingGroup("ratio", ("d", "e"), ratios=(2.0, 3.0)),
     ]
+    feasible = FeasibleSet(_space(**{k: (0.1, 10.0) for k in "abcdef"}), groups)
     for _ in range(50):
         p = {k: rng.uniform(0.1, 10) for k in "abcdef"}
-        once = apply_matching(p, groups)
-        assert apply_matching(once, groups) == once
+        once = feasible.project(p)
+        assert feasible.project(once) == once
+
+
+def test_project_keeps_ratio_group_and_bounds_together():
+    # the leader may not exceed hi / 4, or its partner would leave its range
+    g = MatchingGroup("ratio", ("W5", "W7"), ratios=(1.0, 4.0))
+    space = _space(W5=(1e-6, 2e-4), W7=(1e-6, 2e-4))
+    out = FeasibleSet(space, [g]).project({"W5": 1e-4, "W7": 4e-4})
+    assert out == {"W5": 5e-5, "W7": 2e-4}
+
+
+def test_project_clips_a_scaled_member_that_rounds_past_its_bound():
+    g = MatchingGroup("ratio", ("a", "b"), ratios=(1.0, 2.5))
+    space = _space(a=(5e-9, 5e-6), b=(5e-9, 5e-6))
+    assert 5e-6 / 2.5 * 2.5 > 5e-6  # the rounding this guards against
+    out = FeasibleSet(space, [g]).project({"a": 5e-6, "b": 5e-6})
+    assert out == {"a": 5e-6 / 2.5, "b": 5e-6}
+
+
+def _random_feasible_set(rng: random.Random):
+    names = [f"p{i}" for i in range(rng.randint(2, 8))]
+    bounds = {}
+    for n in names:
+        lo = 10 ** rng.uniform(-9, -3)
+        bounds[n] = (lo, lo * 10 ** rng.uniform(0.1, 3))
+    order = names[:]
+    rng.shuffle(order)
+    groups = []
+    while len(order) >= 2 and rng.random() < 0.7:
+        members = tuple(order[: rng.randint(2, min(3, len(order)))])
+        order = order[len(members):]
+        lo, hi = bounds[members[0]]
+        if rng.random() < 0.5:
+            for m in members:
+                bounds[m] = (lo, hi)
+            groups.append(MatchingGroup("equal", members))
+        else:
+            ratios = (1.0, *(10 ** rng.uniform(-1, 1) for _ in members[1:]))
+            exact = rng.random() < 0.5  # member bounds exactly leader bounds * ratio
+            for m, r in zip(members[1:], ratios[1:]):
+                widen = (1.0, 1.0) if exact else (rng.uniform(0.3, 1), rng.uniform(1, 3))
+                bounds[m] = (lo * r * widen[0], hi * r * widen[1])
+            groups.append(MatchingGroup("ratio", members, ratios=ratios))
+    space = ParameterSpace(
+        tuple(SpaceEntry(n, *bounds[n], scale=rng.choice(["linear", "log"])) for n in names)
+    )
+    return space, groups
+
+
+def test_project_is_feasible_and_idempotent_fuzzed():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        space, groups = _random_feasible_set(rng)
+        feasible = FeasibleSet(space, groups)
+        points = []
+        for _ in range(5):
+            point = {}
+            for e in space.entries:
+                point[e.name] = rng.choice(
+                    [e.lo, e.hi, rng.uniform(e.lo / 10, e.hi * 10), rng.uniform(e.lo, e.hi)]
+                )
+            points.append(point)
+        rows = feasible.project_matrix([[p[n] for n in space.names] for p in points])
+        for point, row in zip(points, rows):
+            out = feasible.project(point)
+            assert list(out) == list(space.names)
+            assert list(out.values()) == row.tolist()
+            for e in space.entries:
+                assert e.lo <= out[e.name] <= e.hi
+            for g in groups:
+                lead = out[g.members[0]]
+                if g.kind == "equal":
+                    assert all(out[m] == lead for m in g.members)
+                else:
+                    for m, r in zip(g.members, g.ratios):
+                        assert out[m] == pytest.approx(lead * r / g.ratios[0], rel=1e-12)
+            assert feasible.project(out) == out
 
 
 def test_matching_group_validation():
@@ -253,13 +332,29 @@ def test_matching_group_validation():
 
 
 def test_validate_matching_groups():
-    space = _space(a=(0.0, 1.0), b=(0.0, 1.0), c=(0.0, 2.0))
-    ok = [MatchingGroup("equal", ("a", "b"))]
+    space = _space(a=(0.0, 1.0), b=(0.0, 1.0), c=(0.0, 2.0), d=(0.0, 1.0), e=(5.0, 6.0))
+    ok = [MatchingGroup("equal", ("a", "b")), MatchingGroup("ratio", ("c", "d"), ratios=(2.0, 1.0))]
     assert validate_matching_groups(ok, space) == []
     bad_bounds = [MatchingGroup("equal", ("a", "c"))]
     assert len(validate_matching_groups(bad_bounds, space)) == 1
     unknown = [MatchingGroup("equal", ("a", "zz"))]
     assert len(validate_matching_groups(unknown, space)) == 1
+    overlap = [MatchingGroup("equal", ("a", "b")), MatchingGroup("equal", ("b", "d"))]
+    assert validate_matching_groups(overlap, space) == [
+        "matching group ['b', 'd']: ['b'] already in another group"
+    ]
+    # e = 2 * a needs a >= 2.5, but a <= 1
+    infeasible = [MatchingGroup("ratio", ("a", "e"), ratios=(1.0, 2.0))]
+    assert validate_matching_groups(infeasible, space) == [
+        "ratio group ['a', 'e'] cannot be satisfied inside the bounds"
+    ]
+
+
+def test_feasible_set_rejects_what_validation_lists():
+    space = _space(a=(0.0, 1.0), b=(0.0, 1.0), c=(0.0, 1.0))
+    overlap = [MatchingGroup("equal", ("a", "b")), MatchingGroup("equal", ("b", "c"))]
+    with pytest.raises(ValueError, match="already in another group"):
+        FeasibleSet(space, overlap)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from amsizer.netlist import MatchingGroup, ParameterSpace, SpaceEntry, apply_matching
+from amsizer.netlist import FeasibleSet, MatchingGroup, ParameterSpace, SpaceEntry
 from amsizer.optimizer import (
     OptimizerRequest,
     de_step,
@@ -87,8 +87,9 @@ def test_matching_and_bounds_preserved(algo):
     seen = []
     res = optimize(req, lambda p: seen.append(dict(p)) or p["r"] / 5.0)
     assert len(seen) == 20
+    feasible = FeasibleSet(space, matching)
     for p in seen:
-        assert apply_matching(p, list(matching)) == p
+        assert feasible.project(p) == p
         for e in space.entries:
             assert e.lo - 1e-12 <= p[e.name] <= e.hi + 1e-12
         assert p["w4"] == pytest.approx(2 * p["w3"])
@@ -225,21 +226,22 @@ def test_request_validation():
 
 
 def test_request_rejects_initial_point_outside_after_matching():
-    space = ParameterSpace((SpaceEntry("a", 0.0, 1.0), SpaceEntry("b", 0.0, 0.4)))
-    groups = (MatchingGroup("equal", ("a", "b")),)
-    with pytest.raises(ValueError):
+    # b = 2 * a = 1.8 would leave b's range; projection moves the point
+    space = ParameterSpace((SpaceEntry("a", 0.0, 1.0), SpaceEntry("b", 0.0, 1.0)))
+    groups = (MatchingGroup("ratio", ("a", "b"), ratios=(1.0, 2.0)),)
+    with pytest.raises(ValueError, match="initial point is not feasible: a = 0.9 projects to 0.5"):
         OptimizerRequest(
             space=space,
             matching=groups,
             budget=3,
-            initial_points=(({"a": 0.9, "b": 0.1}, 0.5),),
+            initial_points=(({"a": 0.9, "b": 1.0}, 0.5),),
         )
 
 
 def test_request_rejects_infeasible_ratio_group():
     space = ParameterSpace((SpaceEntry("a", 1.0, 2.0), SpaceEntry("b", 10.0, 20.0)))
     groups = (MatchingGroup("ratio", ("a", "b"), ratios=(1.0, 2.0)),)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot be satisfied inside the bounds"):
         OptimizerRequest(space=space, matching=groups, budget=3)
 
 
@@ -249,5 +251,25 @@ def test_request_rejects_overlapping_groups():
         MatchingGroup("equal", ("x0", "x1")),
         MatchingGroup("equal", ("x1", "x2")),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="already in another group"):
         OptimizerRequest(space=space, matching=groups, budget=3)
+
+
+@pytest.mark.parametrize("algo", ["bo", "de"])
+def test_scaled_member_never_rounds_past_its_bound(algo):
+    # hi / 2.5 * 2.5 == 5.000000000000001e-06: one ulp above b's bound
+    space = ParameterSpace(
+        (SpaceEntry("a", 5e-9, 5e-6, scale="log"), SpaceEntry("b", 5e-9, 5e-6, scale="log"))
+    )
+    groups = (MatchingGroup("ratio", ("a", "b"), ratios=(1.0, 2.5)),)
+
+    def in_bounds(p):
+        for e in space.entries:
+            if not e.lo <= p[e.name] <= e.hi:
+                raise ValueError(f"{e.name} = {p[e.name]!r} outside [{e.lo}, {e.hi}]")
+        return p["a"] * 1e6
+
+    req = OptimizerRequest(space=space, matching=groups, budget=24, algorithm=algo, seed=0)
+    res = optimize(req, in_bounds)
+    assert [ev.error for ev in res.evaluations] == [None] * 24
+    assert max(ev.point["b"] for ev in res.evaluations) == 5e-6

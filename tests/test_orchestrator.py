@@ -8,7 +8,7 @@ import pytest
 from amsizer.llm import ScriptedBackend, load_scenario
 from amsizer.metrics import MetricReport, Spec
 from amsizer.mosfet import DEFAULT_MODEL_CARDS
-from amsizer.netlist import MatchingGroup, ParameterSpace, SpaceEntry, parse_netlist
+from amsizer.netlist import FeasibleSet, MatchingGroup, ParameterSpace, SpaceEntry, parse_netlist
 from amsizer.simulator import NonConvergence
 from amsizer.state import AcPlan, BudgetLedger, HistoryEntry, TranPlan, WorkflowState
 from amsizer.trace import TraceLog, load_trace, render_report, summarize_accounting
@@ -451,6 +451,15 @@ class TestPhase1:
         with pytest.raises(WorkflowError, match="WX"):
             Workflow(state, ScriptedBackend([]), TraceLog())
 
+    def test_overlapping_preset_matching_rejected(self):
+        state = two_stage_state()
+        state.matching_groups = [
+            MatchingGroup(kind="equal", members=("W1", "W2")),
+            MatchingGroup(kind="ratio", members=("W2", "W3"), ratios=(1.0, 2.0)),
+        ]
+        with pytest.raises(WorkflowError, match=r"\['W2'\] already in another group"):
+            Workflow(state, ScriptedBackend([]), TraceLog())
+
 
 class TestPhase2:
     def test_early_exit_once_goals_met(self):
@@ -468,7 +477,8 @@ class TestPhase2:
             ("dc_reviewer", dc_review(False)), ("dc_sizer", proposal(CS_TRIODE)),
         ] * 2
         trace = TraceLog()
-        Workflow(state, ScriptedBackend(entries), trace).run_phase2(max_cycles=2)
+        caps = PhaseCaps(phase2_max_cycles=2)
+        Workflow(state, ScriptedBackend(entries), trace, caps=caps).run_phase2()
         assert state.budgets.dc_sims == 2
         assert state.budgets.llm_calls == 4
         assert any("cycle cap reached" in w for w in warnings_of(trace))
@@ -492,7 +502,8 @@ R1 a 0 1k
         state.sizing_history.append(HistoryEntry(point={"V2": 2.0}, source="initial_designer"))
         entries = [("dc_reviewer", dc_review(False)), ("dc_sizer", proposal({"V2": 2.5}))]
         trace = TraceLog()
-        Workflow(state, ScriptedBackend(entries), trace).run_phase2(max_cycles=1)
+        caps = PhaseCaps(phase2_max_cycles=1)
+        Workflow(state, ScriptedBackend(entries), trace, caps=caps).run_phase2()
         results = [e.payload for e in trace.events if e.kind == "sim_result"]
         assert len(results) == 1
         assert results[0]["ok"] is False
@@ -517,7 +528,8 @@ class TestPhase3:
             ("reasoning_sizer", proposal(CS_TRIODE)),
         ]
         trace = TraceLog()
-        Workflow(state, ScriptedBackend(entries), trace).run_phase3(max_full_sims=2)
+        caps = PhaseCaps(phase3_max_full_sims=2)
+        Workflow(state, ScriptedBackend(entries), trace, caps=caps).run_phase3()
         assert state.budgets.full_sims_llm == 2
         assert state.budgets.dc_sims == 1
         assert state.budgets.llm_calls == 6
@@ -547,7 +559,8 @@ class TestPhase3:
             ("reasoning_sizer", proposal(CS_SAT)),
         ]
         trace = TraceLog()
-        Workflow(state, ScriptedBackend(entries), trace).run_phase3(max_full_sims=1)
+        caps = PhaseCaps(phase3_max_full_sims=1)
+        Workflow(state, ScriptedBackend(entries), trace, caps=caps).run_phase3()
         (result,) = [e.payload for e in trace.events if e.kind == "sim_result"]
         assert result["ok"] is True
         assert "gain_db" in result["metrics"]
@@ -619,6 +632,38 @@ class TestPhase4:
         assert len(opt_entries) == 3
         assert all(e.report is not None for e in opt_entries)
         assert all(e.note.startswith("transient failed: ") for e in opt_entries)
+
+    def test_ratio_group_proposal_stays_feasible_for_the_optimizer(self):
+        # W7 = 4 * W5 within [1e-6, 2e-4] caps W5 at 5e-5; a proposal of
+        # W5 = 1e-4 must not be simulated with the ratio broken, or the
+        # optimizer's initial points leave the feasible set
+        state = two_stage_state()
+        state.matching_groups = [MatchingGroup("ratio", ("W5", "W7"), ratios=(1.0, 4.0))]
+        feasible = FeasibleSet(state.space, state.matching_groups)
+        start = feasible.project(TWO_STAGE_BEST)
+        state.sizing_history.append(HistoryEntry(point=start, source="initial_designer"))
+        caps = PhaseCaps(phase4_max_cycles=2, phase4_budget_cap=3)
+        entries = [
+            ("advisor_reviewer", advisor_review(advise=False)),
+            ("equipped_sizer", json.dumps({
+                "action": "propose", "parameters": {**start, "W5": 1e-4},
+                "rationale": "more second-stage current",
+            })),
+            ("advisor_reviewer", advisor_review(advise=True)),
+            ("equipped_sizer", optimize_decision(budget=3, algorithm="bo")),
+        ]
+        trace = TraceLog()
+        Workflow(state, ScriptedBackend(entries), trace, caps=caps).run_phase4()
+        assert any(
+            "equipped_sizer: matching/bounds adjusted W5, W7" in w for w in warnings_of(trace)
+        )
+        assert not any("optimizer failed" in w for w in warnings_of(trace))
+        proposed = next(e for e in state.sizing_history if e.source == "equipped_sizer")
+        assert (proposed.point["W5"], proposed.point["W7"]) == (5e-5, 2e-4)
+        assert state.budgets.opt_calls == 1
+        assert state.budgets.full_sims_opt == 3
+        for entry in state.sizing_history:
+            assert feasible.project(entry.point) == entry.point
 
     def test_advisor_sees_deterministic_stagnation_signal(self):
         state = cs_state(specs=UNREACHABLE, point=CS_SAT)

@@ -77,13 +77,14 @@ class TestValidators:
             validate("explanation", {"explanation": "   "}, ctx)
 
     def test_matching_ok(self, ctx):
+        space = ParameterSpace(ctx.space.entries + (SpaceEntry("L2", 1e-7, 1e-5, "m", "log"),))
         doc = {
             "groups": [
                 {"kind": "equal", "members": ["W1", "W2"]},
-                {"kind": "ratio", "members": ["L1", "W1"], "ratios": [1, 2]},
+                {"kind": "ratio", "members": ["L1", "L2"], "ratios": [1, 2]},
             ]
         }
-        payload, _ = validate("matching_groups", doc, ctx)
+        payload, _ = validate("matching_groups", doc, SchemaContext(space, ctx.mosfet_names))
         assert len(payload["groups"]) == 2
         assert payload["groups"][0].kind == "equal"
         assert payload["groups"][1].ratios == (1.0, 2.0)
@@ -95,6 +96,30 @@ class TestValidators:
     def test_matching_unknown_member_is_retryable(self, ctx):
         doc = {"groups": [{"kind": "equal", "members": ["W1", "W9"]}]}
         with pytest.raises(SchemaViolation, match="W9"):
+            validate("matching_groups", doc, ctx)
+
+    def test_matching_overlapping_groups_are_retryable(self, ctx):
+        overlapping = {
+            "groups": [
+                {"kind": "equal", "members": ["W1", "W2"]},
+                {"kind": "ratio", "members": ["L1", "W1"], "ratios": [1, 2]},
+            ]
+        }
+        violations = []
+
+        def reprompt(violation):
+            violations.append(violation)
+            return json.dumps({"groups": overlapping["groups"][:1]})
+
+        out = enforce_schema(json.dumps(overlapping), "matching_groups", ctx, reprompt=reprompt)
+        assert violations == ["matching group ['L1', 'W1']: ['W1'] already in another group"]
+        assert out.attempts_used == 2
+        assert [g.members for g in out.payload["groups"]] == [("W1", "W2")]
+
+    def test_matching_infeasible_ratio_is_retryable(self, ctx):
+        # W1 = 2000 * L1 <= 1e-4 needs L1 <= 5e-8, below L1's lower bound 1e-7
+        doc = {"groups": [{"kind": "ratio", "members": ["L1", "W1"], "ratios": [1, 2000]}]}
+        with pytest.raises(SchemaViolation, match="cannot be satisfied inside the bounds"):
             validate("matching_groups", doc, ctx)
 
     def test_matching_ratio_without_ratios(self, ctx):
