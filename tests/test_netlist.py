@@ -190,7 +190,7 @@ def test_bind_space_param_not_in_circuit():
     assert "ghost" in str(exc.value)
 
 
-def test_space_projection_and_midpoint():
+def test_space_clamp_and_midpoint():
     space = ParameterSpace(
         (
             SpaceEntry("a", 0.0, 10.0),
@@ -215,21 +215,21 @@ def test_space_validation():
 # ---------------------------------------------------------------------------
 # matching
 
-def test_project_equal_group():
+def test_apply_matching_equal():
     g = MatchingGroup("equal", ("W1", "W2"))
     space = _space(W1=(0.0, 10.0), W2=(0.0, 10.0), W3=(0.0, 10.0))
     out = FeasibleSet(space, [g]).project({"W1": 3.0, "W2": 7.0, "W3": 9.0})
     assert out == {"W1": 3.0, "W2": 3.0, "W3": 9.0}
 
 
-def test_project_ratio_group():
+def test_apply_matching_ratio():
     g = MatchingGroup("ratio", ("W3", "W4"), ratios=(1.0, 2.0))
     space = _space(W3=(0.0, 100.0), W4=(0.0, 100.0))
     out = FeasibleSet(space, [g]).project({"W3": 5.0, "W4": 1.0})
     assert out == {"W3": 5.0, "W4": 10.0}
 
 
-def test_project_idempotent():
+def test_apply_matching_idempotent():
     rng = random.Random(7)
     groups = [
         MatchingGroup("equal", ("a", "b", "c")),
