@@ -86,9 +86,6 @@ class Circuit:
     def mosfets(self) -> list[Device]:
         return [d for d in self.devices if d.kind is DeviceKind.MOSFET]
 
-    def is_numeric(self) -> bool:
-        return not self.params
-
 
 @dataclass(frozen=True)
 class SpaceEntry:

@@ -485,6 +485,9 @@ def solve_transient(
 
     n_steps = int(round(t_stop / dt))
     times = np.arange(n_steps + 1) * dt
+    # from the last breakpoint on, b(t) is constant: a step that needs no
+    # Newton update then repeats exactly, so the waveform has settled
+    settle_t = max((points[-1][0] for points, _, _ in drives), default=0.0)
     x = _dc_state_vector(comp, dc)
     c_over_dt = comp.c_mat / dt
     history = np.empty((n_steps + 1, comp.n_unknowns))
@@ -502,10 +505,13 @@ def solve_transient(
                     b[p] += base - val
                 if m >= 0:
                     b[m] -= base - val
-        x, _, _ = comp.newton(
+        x, iters, _ = comp.newton(
             x, b, max_iters=TRAN_MAX_ITERS, c_over_dt=c_over_dt, x_prev=history[k - 1],
             context=f"transient step {k} (t = {t:.6g} s)",
         )
+        if iters == 0 and t >= settle_t:
+            history[k:] = x
+            break
         history[k] = x
 
     voltages = {"0": np.zeros(n_steps + 1)}

@@ -1,11 +1,30 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from amsizer import simulator
+from amsizer.config import load_config
 from amsizer.mosfet import DEFAULT_MODEL_CARDS
-from amsizer.netlist import parse_netlist
-from amsizer.simulator import SimulationError, _pwl_value, solve_dc, solve_transient
+from amsizer.netlist import bind_parameters, parse_netlist
+from amsizer.simulator import (
+    NonConvergence,
+    SimulationError,
+    _pwl_value,
+    solve_dc,
+    solve_transient,
+)
+
+DE_TRAN_CONFIG = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "de_tran_run.yaml"
+
+INVERTER = (
+    "V1 vdd 0 1.8\n"
+    "Vin g 0 DC 0.0\n"
+    "M1 d g 0 0 NMOS W=20u L=1u\n"
+    "R1 vdd d 10k\n"
+    "C1 d 0 1p\n"
+)
 
 
 def test_pwl_lookup():
@@ -100,14 +119,7 @@ def test_transient_validates_arguments():
 
 def test_mosfet_inverter_step():
     """NMOS inverter driven past threshold pulls its output low."""
-    text = (
-        "V1 vdd 0 1.8\n"
-        "Vin g 0 DC 0.0\n"
-        "M1 d g 0 0 NMOS W=20u L=1u\n"
-        "R1 vdd d 10k\n"
-        "C1 d 0 1p\n"
-    )
-    c = parse_netlist(text)
+    c = parse_netlist(INVERTER)
     models = {"NMOS": DEFAULT_MODEL_CARDS["NMOS"]}
     dc = solve_dc(c, models)
     assert dc.node_voltages["d"] == pytest.approx(1.8, abs=1e-6)
@@ -120,3 +132,133 @@ def test_mosfet_inverter_step():
     # output is monotone falling after the step
     out = trace.node_voltages["d"]
     assert np.all(np.diff(out[1:]) <= 1e-9)
+
+
+# early stop: once a step at or after the last breakpoint needs no Newton
+# update, the rest of the waveform is filled with its state.  The oracle is
+# the same stimulus with one more breakpoint (t_stop, final value), which
+# moves the settle time to t_stop and so runs every step.
+
+def _full_length(stimulus, t_stop):
+    return {sid: list(points) + [(t_stop, points[-1][1])] for sid, points in stimulus.items()}
+
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    calls = []
+    newton = simulator._Compiled.newton
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return newton(self, *args, **kwargs)
+
+    monkeypatch.setattr(simulator._Compiled, "newton", counted)
+    return calls
+
+
+def _differential(calls, circuit, models, stimulus, t_stop, dt, oracle=None):
+    """Run the transient with and without a chance to stop early; assert the
+    waveforms are bit-identical and return (early, full) Newton call counts."""
+    dc = solve_dc(circuit, models)
+    calls.clear()
+    early = solve_transient(circuit, models, dc, stimulus, t_stop, dt)
+    n_early = len(calls)
+    calls.clear()
+    full = solve_transient(circuit, models, dc, oracle or _full_length(stimulus, t_stop), t_stop, dt)
+    n_full = len(calls)
+    assert n_full == len(full.times_s) - 1
+    assert np.array_equal(early.times_s, full.times_s)
+    assert early.node_voltages.keys() == full.node_voltages.keys()
+    for net, v in full.node_voltages.items():
+        assert np.array_equal(early.node_voltages[net], v), net
+    return n_early, n_full
+
+
+def test_settled_rc_stops_early_with_identical_waveform(newton_calls):
+    c = parse_netlist("V1 in 0 DC 0\nR1 in out 1k\nC1 out 0 1n\n")
+    n_early, n_full = _differential(
+        newton_calls, c, {}, {"V1": [(0.0, 0.0), (0.0, 1.0)]}, t_stop=50e-6, dt=1e-7
+    )
+    assert n_early < n_full
+
+
+def test_unsettled_rc_runs_every_step(newton_calls):
+    # the slow RC of test_rc_step_response is still moving at t_stop
+    c = parse_netlist("V1 in 0 DC 0\nR1 in out 1k\nC1 out 0 1u\n")
+    n_early, n_full = _differential(
+        newton_calls, c, {}, {"V1": [(0.0, 0.0), (0.0, 1.0)]}, t_stop=1e-3, dt=1e-6
+    )
+    assert n_early == n_full
+
+
+def test_inverter_step_stops_early_with_identical_waveform(newton_calls):
+    c = parse_netlist(INVERTER)
+    models = {"NMOS": DEFAULT_MODEL_CARDS["NMOS"]}
+    n_early, n_full = _differential(
+        newton_calls, c, models, {"Vin": [(0.0, 0.0), (0.0, 1.2)]}, t_stop=2e-7, dt=1e-9
+    )
+    assert n_early < n_full
+
+
+def test_current_source_drive_stops_early_with_identical_waveform(newton_calls):
+    c = parse_netlist("I1 0 out DC 1m\nR1 out 0 1k\nC1 out 0 1n\n")
+    n_early, n_full = _differential(
+        newton_calls, c, {}, {"I1": [(0.0, 2e-3)]}, t_stop=50e-6, dt=1e-7
+    )
+    assert n_early < n_full
+
+
+def test_empty_stimulus_stops_at_once_with_identical_waveform(newton_calls):
+    # the oracle drives V1 at its own DC value up to t_stop, which leaves
+    # the right-hand side as it is but keeps every step
+    c = parse_netlist("V1 in 0 DC 0.5\nR1 in out 1k\nC1 out 0 1n\n")
+    n_early, n_full = _differential(
+        newton_calls, c, {}, {}, t_stop=1e-6, dt=1e-8,
+        oracle={"V1": [(0.0, 0.5), (1e-6, 0.5)]},
+    )
+    assert n_early == 1 < n_full
+
+
+def test_quiescent_first_half_does_not_stop_the_loop(newton_calls):
+    c = parse_netlist("V1 in 0 DC 0\nR1 in out 1k\nC1 out 0 1n\n")
+    t_stop, dt = 50e-6, 1e-7
+    half = t_stop / 2
+    n_early, n_full = _differential(
+        newton_calls, c, {}, {"V1": [(0.0, 0.0), (half, 0.0), (half, 1.0)]}, t_stop, dt
+    )
+    assert n_full // 2 < n_early < n_full
+
+
+def test_de_tran_points_stop_early_with_identical_waveforms(newton_calls):
+    cfg = load_config(str(DE_TRAN_CONFIG))
+    circuit = parse_netlist(cfg.netlist_text)
+    tp = cfg.tran_plan
+    rng = np.random.default_rng(7)
+    compared = stopped = 0
+    for _ in range(6):
+        point = {
+            e.name: float(np.exp(rng.uniform(math.log(e.lo), math.log(e.hi))))
+            for e in cfg.space.entries
+        }
+        bound = bind_parameters(circuit, cfg.space, point)
+        v0 = bound.device(tp.source).value("DC")
+        stimulus = {tp.source: [(0.0, v0 + tp.step_v)]}
+        try:
+            n_early, n_full = _differential(
+                newton_calls, bound, cfg.model_cards, stimulus, tp.t_stop, tp.dt
+            )
+        except SimulationError:
+            continue
+        compared += 1
+        stopped += n_early < n_full
+    assert compared >= 4
+    assert stopped >= 3
+
+
+def test_nonconvergence_before_settling_still_raises(monkeypatch):
+    c = parse_netlist(INVERTER)
+    models = {"NMOS": DEFAULT_MODEL_CARDS["NMOS"]}
+    dc = solve_dc(c, models)
+    monkeypatch.setattr(simulator, "TRAN_MAX_ITERS", 1)
+    with pytest.raises(NonConvergence, match=r"during transient step 1 \(t = 1e-09 s\)"):
+        solve_transient(c, models, dc, {"Vin": [(0.0, 0.0), (0.0, 1.2)]}, t_stop=2e-7, dt=1e-9)
