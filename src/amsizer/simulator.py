@@ -170,6 +170,25 @@ class _Compiled:
                 self._stamp_pair(c, gi, si, cgs)
         self.c_mat = c
 
+        # flat node diagonals (row * n + col) for the gmin shunt
+        self._diag = slice(0, self.n_nodes * (n + 1), n + 1)
+        # each MOSFET stamp entry in stamp order, ground skipped: its flat
+        # Jacobian position or residual row, and which of the device's
+        # values (i_d, -i_d, gm, gds, -(gm + gds), -gm, -gds, gm + gds) it adds
+        jac_pos, jac_val, res_rows, res_val = [], [], [], []
+        for k, (_, _, _, _, di, gi, si) in enumerate(self.mosfets):
+            for row, col, which in ((di, gi, 2), (di, di, 3), (di, si, 4),
+                                    (si, gi, 5), (si, di, 6), (si, si, 7)):
+                if row >= 0 and col >= 0:
+                    jac_pos.append(row * n + col)
+                    jac_val.append(8 * k + which)
+            for row, which in ((di, 0), (si, 1)):
+                if row >= 0:
+                    res_rows.append(row)
+                    res_val.append(8 * k + which)
+        self._jac_pos, self._jac_val = np.array(jac_pos, int), np.array(jac_val, int)
+        self._res_rows, self._res_val = np.array(res_rows, int), np.array(res_val, int)
+
     @staticmethod
     def _stamp_pair(mat: np.ndarray, a: int, b: int, val: float):
         if a >= 0:
@@ -200,56 +219,44 @@ class _Compiled:
 
     # -- nonlinear assembly ------------------------------------------------
 
-    def mos_terminal_voltages(self, x: np.ndarray, di: int, gi: int, si: int):
-        vd = x[di] if di >= 0 else 0.0
-        vg = x[gi] if gi >= 0 else 0.0
-        vs = x[si] if si >= 0 else 0.0
-        return vg, vd, vs
-
     def residual_and_jacobian(
         self, x: np.ndarray, b: np.ndarray, gmin: float
     ) -> tuple[np.ndarray, np.ndarray]:
         j = self.g0.copy()
         if gmin > 0.0:
-            j[range(self.n_nodes), range(self.n_nodes)] += gmin
+            j.reshape(-1)[self._diag] += gmin
         f = j @ x - b
         self.stamp_mosfets(x, j, f)
         return f, j
 
     def stamp_mosfets(self, x: np.ndarray, mat: np.ndarray, f: np.ndarray | None = None):
-        """Add every MOSFET's conductances (gm, gds) at x to `mat` and,
-        when `f` is given, its drain current to the KCL residual."""
+        """Add every MOSFET's conductances (gm, gds) at x to the C-contiguous
+        `mat` and, when `f` is given, its drain current to the KCL residual.
+        `ufunc.at` adds in index order, so each entry gets the same sum as
+        one `+=` per stamp entry."""
+        v = x.tolist()
+        v.append(0.0)  # index -1 reads ground
+        vals = []
         for _, card, w, l, di, gi, si in self.mosfets:
-            vg, vd, vs = self.mos_terminal_voltages(x, di, gi, si)
-            i_d, gm, gds = mos_current(card, w, l, vg, vd, vs)
-            if f is not None:
-                if di >= 0:
-                    f[di] += i_d
-                if si >= 0:
-                    f[si] -= i_d
-            if di >= 0:
-                if gi >= 0:
-                    mat[di, gi] += gm
-                mat[di, di] += gds
-                if si >= 0:
-                    mat[di, si] -= gm + gds
-            if si >= 0:
-                if gi >= 0:
-                    mat[si, gi] -= gm
-                if di >= 0:
-                    mat[si, di] -= gds
-                mat[si, si] += gm + gds
+            i_d, gm, gds = mos_current(card, w, l, v[gi], v[di], v[si])
+            gs = gm + gds
+            vals += (i_d, -i_d, gm, gds, -gs, -gm, -gds, gs)
+        vals = np.array(vals)
+        np.add.at(mat.reshape(-1), self._jac_pos, vals[self._jac_val])
+        if f is not None:
+            np.add.at(f, self._res_rows, vals[self._res_val])
 
     def _solve_linear(self, j: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         # the LAPACK routines behind scipy.linalg.lu_factor / lu_solve; an
-        # exactly singular pivot (info > 0) is caught by the check below
+        # exactly singular pivot (info > 0) is caught by the check below,
+        # as is an all-zero or non-finite diagonal (it names labels[0])
         lu, piv, _ = dgetrf(j)
-        diag = np.abs(np.diag(lu))
-        bad = diag <= diag.max() * 1e-14 if diag.max() > 0 else np.ones_like(diag, bool)
-        if bad.any():
-            raise SingularMatrix(self.labels[int(np.argmax(bad))])
+        diag = np.abs(lu.diagonal())
+        floor = diag.max() * 1e-14
+        if not diag.min() > floor:
+            raise SingularMatrix(self.labels[int(np.argmax(diag <= floor))])
         dx, _ = dgetrs(lu, piv, rhs)
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             raise SingularMatrix(self.labels[0])
         return dx
 
@@ -275,11 +282,13 @@ class _Compiled:
             if c_over_dt is not None:
                 f += c_over_dt @ (x - x_prev)
                 j += c_over_dt
-            residual = float(np.max(np.abs(f)))
+            residual = float(np.abs(f).max())
             if residual <= NEWTON_TOL:
                 return x, it, residual
             dx = self._solve_linear(j, -f)
-            np.clip(dx[: self.n_nodes], -DV_MAX, DV_MAX, out=dx[: self.n_nodes])
+            nodes = dx[: self.n_nodes]
+            np.minimum(nodes, DV_MAX, out=nodes)
+            np.maximum(nodes, -DV_MAX, out=nodes)
             x += dx
         raise NonConvergence(residual, max_iters, context)
 
@@ -344,16 +353,18 @@ def solve_dc(circuit: Circuit, models: dict[str, MosModelCard]) -> DcSolution:
 
 
 def _finish_dc(comp: _Compiled, x: np.ndarray, iters: int, residual: float) -> DcSolution:
+    volts = x.tolist()
+    volts.append(0.0)  # index -1 reads ground, as in stamp_mosfets
     node_voltages = {"0": 0.0}
     for net, i in comp.node_index.items():
         if i >= 0:
-            node_voltages[net] = float(x[i])
+            node_voltages[net] = volts[i]
     branch_currents = {
-        v.id: float(x[comp.n_nodes + k]) for k, v in enumerate(comp.vsources)
+        v.id: volts[comp.n_nodes + k] for k, v in enumerate(comp.vsources)
     }
     ops = {}
     for dev, card, w, l, di, gi, si in comp.mosfets:
-        vg, vd, vs = comp.mos_terminal_voltages(x, di, gi, si)
+        vg, vd, vs = volts[gi], volts[di], volts[si]
         i_d, gm, gds = mos_current(card, w, l, vg, vd, vs)
         pol = card.polarity
         vgs_n = pol * (vg - vs)
@@ -373,15 +384,11 @@ def _finish_dc(comp: _Compiled, x: np.ndarray, iters: int, residual: float) -> D
         }
     power = {}
     for k, v in enumerate(comp.vsources):
-        p = comp.node_index[v.terminals[0]]
-        m = comp.node_index[v.terminals[1]]
-        dv = (x[p] if p >= 0 else 0.0) - (x[m] if m >= 0 else 0.0)
-        power[v.id] = float(abs(dv * x[comp.n_nodes + k]))
+        dv = volts[comp.node_index[v.terminals[0]]] - volts[comp.node_index[v.terminals[1]]]
+        power[v.id] = abs(dv * volts[comp.n_nodes + k])
     for s in comp.isources:
-        p = comp.node_index[s.terminals[0]]
-        m = comp.node_index[s.terminals[1]]
-        dv = (x[p] if p >= 0 else 0.0) - (x[m] if m >= 0 else 0.0)
-        power[s.id] = float(abs(dv * s.value("DC")))
+        dv = volts[comp.node_index[s.terminals[0]]] - volts[comp.node_index[s.terminals[1]]]
+        power[s.id] = abs(dv * s.value("DC"))
     return DcSolution(
         node_voltages=node_voltages,
         branch_currents=branch_currents,

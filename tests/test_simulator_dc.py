@@ -286,7 +286,42 @@ def test_singular_matrix_reported():
     c = parse_netlist("V1 a 0 1\nV2 a 0 2\nR1 a 0 1k\n")
     with pytest.raises(SingularMatrix) as exc:
         solve_dc(c, {})
-    assert exc.value.unknown
+    assert exc.value.unknown == "I(V2)"
+
+
+def _two_unknowns():
+    # unknowns: node "a", then the branch current "I(V1)"
+    return simulator._Compiled(parse_netlist("V1 a 0 1\nR1 a 0 1k\n"), {})
+
+
+@pytest.mark.parametrize(
+    "j,unknown",
+    [([[0.0, 0.0], [0.0, 0.0]], "a"), ([[1.0, 0.0], [0.0, 0.0]], "I(V1)")],
+)
+def test_zero_pivot_names_its_unknown(j, unknown):
+    comp = _two_unknowns()
+    assert comp.labels == ["a", "I(V1)"]
+    with pytest.raises(SingularMatrix) as exc:
+        comp._solve_linear(np.array(j), np.ones(2))
+    assert exc.value.unknown == unknown
+    assert str(exc.value) == f"singular MNA matrix at unknown {unknown!r}"
+
+
+def test_overflowing_solution_fails_the_finite_check(monkeypatch):
+    # the pivots pass the relative check, but 1e10 / 1e-308 overflows
+    solves = []
+    dgetrs = simulator.dgetrs
+
+    def counting(*args):
+        solves.append(args)
+        return dgetrs(*args)
+
+    comp = _two_unknowns()
+    monkeypatch.setattr(simulator, "dgetrs", counting)
+    with pytest.raises(SingularMatrix) as exc:
+        comp._solve_linear(np.diag([1e-308, 1e-308]), np.full(2, 1e10))
+    assert exc.value.unknown == "a"
+    assert len(solves) == 1
 
 
 def test_nonconvergence_reports_iterations(monkeypatch):
@@ -323,6 +358,147 @@ def test_solve_linear_matches_scipy_lu_solve(monkeypatch):
         assert dx.tobytes() == ref.tobytes()
         solved += 1
     assert solved >= 10
+
+
+# ---------------------------------------------------------------------------
+# the compiled MOSFET stamp, gmin shunt and update clip
+
+def _per_entry_residual_and_jacobian(comp, x, b, gmin):
+    """Reference: the stamp as one `+=` per matrix and residual entry."""
+    j = comp.g0.copy()
+    if gmin > 0.0:
+        j[range(comp.n_nodes), range(comp.n_nodes)] += gmin
+    f = j @ x - b
+    for _, card, w, l, di, gi, si in comp.mosfets:
+        vd = x[di] if di >= 0 else 0.0
+        vg = x[gi] if gi >= 0 else 0.0
+        vs = x[si] if si >= 0 else 0.0
+        i_d, gm, gds = mos_current(card, w, l, vg, vd, vs)
+        if di >= 0:
+            f[di] += i_d
+        if si >= 0:
+            f[si] -= i_d
+        if di >= 0:
+            if gi >= 0:
+                j[di, gi] += gm
+            j[di, di] += gds
+            if si >= 0:
+                j[di, si] -= gm + gds
+        if si >= 0:
+            if gi >= 0:
+                j[si, gi] -= gm
+            if di >= 0:
+                j[si, di] -= gds
+            j[si, si] += gm + gds
+    return f, j
+
+
+def _random_point(space, rng):
+    # log-uniform in each range (every entry of both run configs is log-scaled)
+    return {e.name: e.lo * (e.hi / e.lo) ** rng.random() for e in space.entries}
+
+
+def _assert_stamp_matches_per_entry(comp, rng, trials):
+    reverse = 0
+    for _ in range(trials):
+        x = np.array([rng.uniform(-2.0, 2.0) for _ in range(comp.n_unknowns)])
+        v = list(x) + [0.0]
+        reverse += sum(
+            card.polarity * (v[di] - v[si]) < 0.0 for _, card, _, _, di, _, si in comp.mosfets
+        )
+        for gmin in (0.0, simulator.GMIN):
+            f, j = comp.residual_and_jacobian(x, comp.b_dc, gmin)
+            f_ref, j_ref = _per_entry_residual_and_jacobian(comp, x, comp.b_dc, gmin)
+            assert f.tobytes() == f_ref.tobytes()
+            assert j.tobytes() == j_ref.tobytes()
+    return reverse
+
+
+@pytest.mark.parametrize("run", ["two_stage_run.yaml", "folded_cascode_run.yaml"])
+def test_stamp_matches_per_entry_loop_bit_for_bit(run):
+    cfg = load_config(DATA / run)
+    base = parse_netlist(cfg.netlist_text)
+    rng = random.Random(17)
+    reverse = 0
+    for _ in range(25):
+        circuit = substitute_parameters(base, _random_point(cfg.space, rng))
+        comp = simulator._Compiled(circuit, cfg.model_cards)
+        reverse += _assert_stamp_matches_per_entry(comp, rng, 2)
+    assert reverse > 0
+
+
+def test_stamp_with_grounded_terminals_matches_per_entry_loop():
+    # drain (M1), gate (M2, a PMOS) and source (M3) each on ground; M4 is
+    # diode-connected and M5 has drain and source on one net
+    circuit = parse_netlist(
+        "V1 vdd 0 1.8\nVb g 0 0.7\n"
+        "M1 0 g s 0 NMOS W=10u L=1u\n"
+        "M2 d 0 s vdd PMOS W=20u L=1u\n"
+        "M3 d g 0 0 NMOS W=5u L=2u\n"
+        "M4 s s d 0 NMOS W=3u L=1u\n"
+        "M5 d g d 0 NMOS W=4u L=1u\n"
+        "R1 vdd d 10k\nR2 s 0 5k\n"
+    )
+    comp = simulator._Compiled(circuit, dict(DEFAULT_MODEL_CARDS))
+    for terminal in (4, 5, 6):  # drain, gate, source index
+        assert any(m[terminal] == -1 for m in comp.mosfets)
+    assert _assert_stamp_matches_per_entry(comp, random.Random(5), 40) > 0
+
+
+def test_gmin_shunt_lands_on_node_diagonals_only():
+    cfg = load_config(DATA / "two_stage_run.yaml")
+    circuit = substitute_parameters(parse_netlist(cfg.netlist_text), cfg.space.midpoint())
+    comp = simulator._Compiled(circuit, cfg.model_cards)
+    rng = random.Random(2)
+    x = np.array([rng.uniform(0.0, 1.8) for _ in range(comp.n_unknowns)])
+    f0, j0 = comp.residual_and_jacobian(x, comp.b_dc, 0.0)
+    f1, j1 = comp.residual_and_jacobian(x, comp.b_dc, simulator.GMIN)
+    nodes = np.arange(comp.n_nodes)
+    off = np.ones_like(j0, bool)
+    off[nodes, nodes] = False
+    # branch-current rows and every off-diagonal entry are untouched
+    assert comp.n_unknowns > comp.n_nodes
+    assert j1[off].tobytes() == j0[off].tobytes()
+    assert f1[comp.n_nodes:].tobytes() == f0[comp.n_nodes:].tobytes()
+    # exactly gmin where nothing else sits on the diagonal (the input
+    # nets see only gates), to the rounding of the stamp sums elsewhere
+    for net in ("inp", "inn"):
+        i = comp.node_index[net]
+        assert j0[i, i] == 0.0 and j1[i, i] == simulator.GMIN
+    assert (j1 - j0)[nodes, nodes] == pytest.approx(np.full(comp.n_nodes, simulator.GMIN), rel=1e-6)
+
+
+def test_newton_clips_node_updates_only(monkeypatch):
+    # linear: the first full Newton step from 0 would land on the answer
+    # a = 1, c = 0.5, b = -1, d = -1/11 with branch currents near 0.5 and 0.9 A
+    monkeypatch.setattr(simulator, "DV_MAX", 0.25)
+    comp = simulator._Compiled(
+        parse_netlist("V1 a 0 1\nR1 a c 1\nR2 c 0 1\nV2 b 0 -1\nR3 b d 1\nR4 d 0 0.1\n"), {}
+    )
+    steps, iterates = [], []
+    solve, assemble = comp._solve_linear, comp.residual_and_jacobian
+
+    def recording_solve(j, rhs):
+        steps.append(solve(j, rhs).copy())
+        return steps[-1].copy()
+
+    def recording_assemble(x, b, gmin):
+        iterates.append(x.copy())
+        return assemble(x, b, gmin)
+
+    monkeypatch.setattr(comp, "_solve_linear", recording_solve)
+    monkeypatch.setattr(comp, "residual_and_jacobian", recording_assemble)
+    x, iters, _ = comp.newton(np.zeros(comp.n_unknowns), comp.b_dc)
+    assert iters > 1
+    raw, after = steps[0], iterates[1]  # from x = 0 the iterate is the step
+    n = comp.n_nodes
+    volts = {net: after[i] for net, i in comp.node_index.items() if i >= 0}
+    assert (volts["a"], volts["b"], volts["c"]) == (0.25, -0.25, 0.25)
+    assert volts["d"] == pytest.approx(-1 / 11)
+    assert after[:n].tobytes() == np.clip(raw[:n], -0.25, 0.25).tobytes()
+    assert after[n:].tobytes() == raw[n:].tobytes()
+    assert min(abs(raw[n:])) > 0.25
+    assert x[comp.node_index["a"]] == pytest.approx(1.0)
 
 
 def test_capacitor_only_node_is_tolerated():
