@@ -76,14 +76,15 @@ def unity_gain_bandwidth(ac: AcSweep) -> float:
         return float(ac.freqs_hz[0]) if len(mags) == 1 and mags[0] == 1.0 else 0.0
     with np.errstate(divide="ignore"):
         y = 20.0 * np.log10(mags)
+    crossings = np.flatnonzero((y[:-1] >= 0.0) & (y[1:] < 0.0))
+    if len(crossings) == 0:
+        return 0.0
+    i = crossings[0]
+    if y[i] == 0.0:
+        return float(ac.freqs_hz[i])
     x = np.log10(ac.freqs_hz)
-    for i in range(len(y) - 1):
-        if y[i] >= 0.0 and y[i + 1] < 0.0:
-            if y[i] == 0.0:
-                return float(ac.freqs_hz[i])
-            x_star = x[i] + (0.0 - y[i]) * (x[i + 1] - x[i]) / (y[i + 1] - y[i])
-            return float(10.0 ** x_star)
-    return 0.0
+    x_star = x[i] + (0.0 - y[i]) * (x[i + 1] - x[i]) / (y[i + 1] - y[i])
+    return float(10.0 ** x_star)
 
 
 def phase_margin_deg(ac: AcSweep, ugbw_hz: float) -> float | None:

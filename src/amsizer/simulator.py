@@ -9,17 +9,20 @@ I(Vxx) convention.
 DC solves run a convergence ladder: plain Newton, then Newton with gmin
 shunts on every node, then source stepping; any gmin-assisted solution
 is polished with a final gmin = 0 Newton pass so the reported residual
-is the true KCL residual.  AC is one complex solve per frequency around
-the DC operating point; transient is backward Euler with Newton at each
-step.
+is the true KCL residual.  AC factors (G, C) at the DC operating point
+once by complex QZ (Moler & Stewart 1973), then back-substitutes S + jwT
+at all frequencies at once (Laub 1981), within 1e-10 relative of a 40-digit
+LU where |H| >= 1e-2; transient is backward Euler with Newton per step.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import qz
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .mosfet import MosModelCard, classify_region, mos_current
@@ -64,6 +67,7 @@ class DcSolution:
     source_power_w: dict[str, float] = field(default_factory=dict)
     residual_a: float = 0.0
     iterations: int = 0
+    compiled: _Compiled | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -199,10 +203,10 @@ class _Compiled:
             mat[a, b] -= val
             mat[b, a] -= val
 
-    def source_vector(self, slot: str, dtype=float) -> np.ndarray:
+    def source_vector(self, slot: str) -> np.ndarray:
         """Right-hand side of every independent source's `slot` value
         ("DC" or "AC"); sources without that slot contribute nothing."""
-        b = np.zeros(self.n_unknowns, dtype=dtype)
+        b = np.zeros(self.n_unknowns)
         for k, v in enumerate(self.vsources):
             if slot in v.values:
                 b[self.n_nodes + k] = v.value(slot)
@@ -293,14 +297,18 @@ class _Compiled:
         raise NonConvergence(residual, max_iters, context)
 
 
-def _dc_state_vector(comp: _Compiled, dc: DcSolution) -> np.ndarray:
+def _linearisation_point(circuit: Circuit, models: dict[str, MosModelCard], dc: DcSolution):
+    """solve_dc's compiled circuit (fresh if `dc` is another circuit's) and DC vector."""
+    comp = dc.compiled
+    if comp is None or comp.circuit is not circuit:
+        comp = _Compiled(circuit, models)
     x = np.zeros(comp.n_unknowns)
     for net, i in comp.node_index.items():
         if i >= 0:
             x[i] = dc.node_voltages[net]
     for k, v in enumerate(comp.vsources):
         x[comp.n_nodes + k] = dc.branch_currents[v.id]
-    return x
+    return comp, x
 
 
 def solve_dc(circuit: Circuit, models: dict[str, MosModelCard]) -> DcSolution:
@@ -396,21 +404,22 @@ def _finish_dc(comp: _Compiled, x: np.ndarray, iters: int, residual: float) -> D
         source_power_w=power,
         residual_a=residual,
         iterations=iters,
+        compiled=comp,
     )
 
 
+@lru_cache(maxsize=32)
 def frequency_grid(f_lo: float, f_hi: float, pts_per_decade: int = MIN_PTS_PER_DECADE) -> np.ndarray:
-    """Geometric grid with at least MIN_PTS_PER_DECADE points per decade."""
+    """Cached, read-only geometric grid with at least MIN_PTS_PER_DECADE points per decade."""
     if f_lo <= 0 or f_hi <= 0:
         raise ValueError("frequencies must be > 0")
     if f_lo > f_hi:
         raise ValueError("f_lo must be <= f_hi")
-    if f_lo == f_hi:
-        return np.array([f_lo])
     ppd = max(pts_per_decade, MIN_PTS_PER_DECADE)
-    decades = np.log10(f_hi / f_lo)
-    n = int(np.ceil(decades * ppd)) + 1
-    return np.geomspace(f_lo, f_hi, n)
+    decades = np.log10(f_hi / f_lo)  # 0 when f_lo == f_hi: the one point f_lo
+    grid = np.geomspace(f_lo, f_hi, int(np.ceil(decades * ppd)) + 1)
+    grid.flags.writeable = False
+    return grid
 
 
 def solve_ac(
@@ -424,7 +433,7 @@ def solve_ac(
     pts_per_decade: int = MIN_PTS_PER_DECADE,
 ) -> AcSweep:
     """Small-signal transfer V(output_net)/AC(input_source) on a log grid."""
-    comp = _Compiled(circuit, models)
+    comp, x_dc = _linearisation_point(circuit, models, dc)
     if output_net not in comp.node_index:
         raise SimulationError(f"unknown output net {output_net!r}")
     try:
@@ -434,19 +443,30 @@ def solve_ac(
     if src.kind not in (DeviceKind.VSOURCE, DeviceKind.ISOURCE):
         raise SimulationError(f"{input_source!r} is not an independent source")
 
+    freqs = frequency_grid(f_lo, f_hi, pts_per_decade)
+    jw = 2j * np.pi * freqs
     n = comp.n_unknowns
     g = comp.g0.copy()
-    comp.stamp_mosfets(_dc_state_vector(comp, dc), g)
-    b = comp.source_vector("AC", complex)
-
-    freqs = frequency_grid(f_lo, f_hi, pts_per_decade)
-    a = g[None, :, :] + 1j * 2.0 * np.pi * freqs[:, None, None] * comp.c_mat[None, :, :]
-    rhs = np.broadcast_to(b[:, None], (len(freqs), n, 1))
-    try:
-        xs = np.linalg.solve(a, rhs)[:, :, 0]
-    except np.linalg.LinAlgError:
-        raise SingularMatrix("AC system") from None
-    vout = xs[:, comp.node_index[output_net]]
+    comp.stamp_mosfets(x_dc, g)
+    s, t, q, z = qz(g, comp.c_mat, output="complex")
+    diag = s.diagonal()[:, None] + t.diagonal()[:, None] * jw
+    if not diag.all():
+        raise SingularMatrix("AC system")
+    # solve (S + jwT) y = Q^H b by columns, one (k, 2) @ (2, f) product each (a row
+    # would be one matrix-vector product, big enough to wake BLAS threads); acc row 0
+    # accumulates V(out) = Z[out] y, and row k + 1 holds unknown k
+    coef = np.zeros((n + 1, n, 2), complex)
+    coef[0, :, 0], coef[1:, :, 0], coef[1:, :, 1] = -z[comp.node_index[output_net]], s, t
+    acc = np.zeros((n + 1, len(freqs)), complex)
+    acc[1:] = (q.conj().T @ comp.source_vector("AC"))[:, None]
+    u = np.empty((2, len(freqs)), complex)  # y_i and jw * y_i
+    for i in range(n - 1, -1, -1):
+        np.divide(acc[i + 1], diag[i], out=u[0])
+        np.multiply(jw, u[0], out=u[1])
+        acc[: i + 1] -= coef[: i + 1, i] @ u
+    vout = acc[0]
+    if not np.isfinite(vout).all():
+        raise SingularMatrix("AC system")
     ac_in = src.values.get("AC", 1.0)
     if isinstance(ac_in, float) and ac_in != 0.0:
         transfer = vout / ac_in
@@ -473,7 +493,7 @@ def solve_transient(
         raise ValueError("dt must be > 0")
     if t_stop < dt:
         raise ValueError("t_stop must be >= dt")
-    comp = _Compiled(circuit, models)
+    comp, x = _linearisation_point(circuit, models, dc)
     # (points, vsource row | None, isource (p, m, dc) | None) per driven source
     drives = []
     for sid, points in stimulus.items():
@@ -495,7 +515,6 @@ def solve_transient(
     # from the last breakpoint on, b(t) is constant: a step that needs no
     # Newton update then repeats exactly, so the waveform has settled
     settle_t = max((points[-1][0] for points, _, _ in drives), default=0.0)
-    x = _dc_state_vector(comp, dc)
     c_over_dt = comp.c_mat / dt
     history = np.empty((n_steps + 1, comp.n_unknowns))
     history[0] = x

@@ -16,7 +16,7 @@ and auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .agents import AGENTS
 from .context import assemble_context
@@ -102,12 +102,13 @@ def measure(state: WorkflowState, point: dict[str, float], full: bool = True):
     optimizer-only baseline.  A DC-only measurement (full=False) has no
     report.  A failed transient is not fatal: the report then lacks the
     transient metrics and `note` says why.  Raises SimulationError when
-    the DC or AC analysis fails.
+    the DC or AC analysis fails.  The returned DC solution drops its
+    compiled circuit, so a history of them keeps no point's circuit alive.
     """
     bound = bind_parameters(state.circuit, state.space, point)
     dc = solve_dc(bound, state.model_cards)
     if not full:
-        return dc, None, ""
+        return replace(dc, compiled=None), None, ""
     plan = state.ac_plan
     ac = solve_ac(
         bound,
@@ -130,7 +131,7 @@ def measure(state: WorkflowState, point: dict[str, float], full: bool = True):
         except SimulationError as exc:
             note = f"transient failed: {exc}"
     values = extract_metrics(ac, dc, tran, plan.output_net)
-    return dc, evaluate(values, state.specs), note
+    return replace(dc, compiled=None), evaluate(values, state.specs), note
 
 
 class Workflow:

@@ -46,3 +46,24 @@ def test_optimize_reaches_workflow_solve_dc(monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert len(calls) == 4
+
+
+def test_optimize_reaches_workflow_solve_ac(monkeypatch, capsys):
+    solve_dc, solve_ac = amsizer.workflow.solve_dc, amsizer.workflow.solve_ac
+    solved, swept = [], []
+
+    def counted_dc(*args, **kwargs):
+        solved.append(solve_dc(*args, **kwargs))
+        return solved[-1]
+
+    def counted_ac(circuit, models, dc, *args, **kwargs):
+        swept.append(dc)
+        return solve_ac(circuit, models, dc, *args, **kwargs)
+
+    monkeypatch.setattr(amsizer.workflow, "solve_dc", counted_dc)
+    monkeypatch.setattr(amsizer.workflow, "solve_ac", counted_ac)
+    code = main(["optimize", str(DATA / "two_stage_run.yaml"), "--algo", "de", "--budget", "4"])
+    capsys.readouterr()
+    assert code == 0
+    # each point whose DC converged is swept exactly once, in order
+    assert swept and [id(dc) for dc in swept] == [id(dc) for dc in solved]

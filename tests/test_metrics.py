@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from amsizer.metrics import (
     METRIC_NAMES,
@@ -53,6 +54,53 @@ def test_ugbw_zero_when_always_below_unity():
     values = extract_metrics(ac, _dc_stub())
     assert values["ugbw_hz"] == 0.0
     assert "phase_margin_deg" not in values
+
+
+def _ugbw_reference_loop(ac: AcSweep) -> float:
+    """The former per-sample loop of unity_gain_bandwidth, kept as the reference."""
+    mags = np.abs(ac.transfer)
+    if len(mags) < 2:
+        return float(ac.freqs_hz[0]) if len(mags) == 1 and mags[0] == 1.0 else 0.0
+    with np.errstate(divide="ignore"):
+        y = 20.0 * np.log10(mags)
+    x = np.log10(ac.freqs_hz)
+    for i in range(len(y) - 1):
+        if y[i] >= 0.0 and y[i + 1] < 0.0:
+            if y[i] == 0.0:
+                return float(ac.freqs_hz[i])
+            x_star = x[i] + (0.0 - y[i]) * (x[i + 1] - x[i]) / (y[i + 1] - y[i])
+            return float(10.0 ** x_star)
+    return 0.0
+
+
+# |H| samples: exact unity (0 dB), exact zero (-inf dB), either side of 0 dB
+_magnitudes = st.one_of(
+    st.sampled_from([1.0, 0.0]),
+    st.floats(1e-6, 1e6),
+    st.floats(0.5, 2.0),
+)
+
+
+@given(
+    mags=st.lists(_magnitudes, min_size=1, max_size=30),
+    signs=st.lists(st.sampled_from([1.0, -1.0, 1j, -1j]), min_size=30, max_size=30),
+    f_lo=st.floats(1e-3, 1e3),
+    decades=st.floats(0.5, 9.0),
+)
+def test_ugbw_matches_reference_loop(mags, signs, f_lo, decades):
+    # a unit phasor keeps |H| exact, so 1.0 stays exactly 0 dB
+    h = np.array([m * s for m, s in zip(mags, signs)], dtype=complex)
+    f = np.geomspace(f_lo, f_lo * 10.0 ** decades, len(h))
+    ac = AcSweep(freqs_hz=f, transfer=h)
+    assert unity_gain_bandwidth(ac).hex() == _ugbw_reference_loop(ac).hex()
+
+
+def test_ugbw_edge_cases_match_reference_loop():
+    f = np.array([10.0, 100.0, 1000.0, 1e4])
+    for h in ([1.0], [2.0], [0.0], [1.0, 1.0, 1.0, 0.5], [2.0, 1.0, 1.0, 0.5],
+              [0.5, 0.5, 0.5, 0.5], [2.0, 0.5, 2.0, 0.5], [0.0, 2.0, 0.0, 2.0]):
+        ac = AcSweep(freqs_hz=f[: len(h)], transfer=np.array(h, dtype=complex))
+        assert unity_gain_bandwidth(ac).hex() == _ugbw_reference_loop(ac).hex(), h
 
 
 def test_phase_margin_uses_unwrapped_phase():
