@@ -268,11 +268,20 @@ def _run_bo(req, run, codec, feasible, rng, init_pts):
 
 def _refine_ei(z0, model, f_star, codec, feasible):
     """Coordinate-descent polish of an EI candidate, derivative-free."""
+    # Many trial steps project onto a point this refinement has already
+    # scored: a step clipped at a face of the cube, or a step on a follower
+    # of an equal matching group, which projects back onto its leader.
+    # gp_predict is deterministic, so the EI memoized under the projected
+    # point's bytes is exactly what a fresh call would return.
+    scored: dict[bytes, float] = {}
 
     def ei_at(z):
         zp = codec.encode_matrix(feasible.project_matrix(codec.decode_matrix(z)))[0]
-        mean, var = gp_predict(model, zp)
-        return float(expected_improvement(mean, var, f_star)[0]), zp
+        key = zp.tobytes()
+        if key not in scored:
+            mean, var = gp_predict(model, zp)
+            scored[key] = float(expected_improvement(mean, var, f_star)[0])
+        return scored[key], zp
 
     cur_ei, z = ei_at(z0)
     step = 0.25

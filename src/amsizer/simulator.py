@@ -355,9 +355,14 @@ def solve_dc(circuit: Circuit, models: dict[str, MosModelCard]) -> DcSolution:
         except (NonConvergence, SingularMatrix) as exc:
             last_error = exc
             continue
+        # a kept error's traceback holds this frame: drop it to break the cycle
+        last_error = None
         return _finish_dc(comp, x, iters, residual)
     assert last_error is not None
-    raise last_error
+    try:
+        raise last_error
+    finally:
+        last_error = None
 
 
 def _finish_dc(comp: _Compiled, x: np.ndarray, iters: int, residual: float) -> DcSolution:

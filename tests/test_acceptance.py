@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from amsizer.cli import main
 from amsizer.gp import GpHyper, gp_fit, gp_predict
@@ -244,6 +245,28 @@ def test_criterion_5_ledger_reproduction(scenario_runs):
         "full_sims_llm": 21, "full_sims_opt": 43, "full_sims_total": 64,
     }
     _pass("criterion 5: scripted ledgers reproduce (34/0/6/9) and (54/1/4/21+43=64)")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_folded_session_succeeds_at_seed(seed, tmp_path, capsys):
+    # the folded benchmark runs the scripted session at its own seed and
+    # rejects any run that does not end in success with the fixed ledger;
+    # at seed 3 BO first reaches fom >= 1 only at its 36th proposal of 43
+    cfg = yaml.safe_load((DATA / "folded_cascode_run.yaml").read_text())
+    cfg["netlist"] = str(DATA / cfg["netlist"])
+    cfg["backend"]["scenario"] = str(DATA / cfg["backend"]["scenario"])
+    cfg["seed"] = seed
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(cfg, sort_keys=False))
+    code = main(["run", str(config), "--output-dir", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == 0
+    best = json.loads((tmp_path / "out" / "best_point.json").read_text())
+    assert best["status"] == "success"
+    assert best["accounting"] == {
+        "llm_calls": 54, "opt_calls": 1, "dc_sims": 4,
+        "full_sims_llm": 21, "full_sims_opt": 43, "full_sims_total": 64,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ baseline still reaches the simulator through them.
 import importlib.util
 from pathlib import Path
 
+import amsizer.optimizer
 import amsizer.workflow
 from amsizer.cli import main
 
@@ -67,3 +68,25 @@ def test_optimize_reaches_workflow_solve_ac(monkeypatch, capsys):
     assert code == 0
     # each point whose DC converged is swept exactly once, in order
     assert swept and [id(dc) for dc in swept] == [id(dc) for dc in solved]
+
+
+def test_bo_reaches_optimizer_gp_predict_and_ei(monkeypatch, capsys):
+    # the traced benchmark needs gp.predict and optimizer.ei on agentic-folded
+    calls = {"gp_predict": 0, "expected_improvement": 0}
+
+    def counter(name):
+        original = getattr(amsizer.optimizer, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(amsizer.optimizer, name, counter(name))
+    # 10 parameters: the first 20 points are random, the last 4 are BO proposals
+    code = main(["optimize", str(DATA / "folded_cascode_run.yaml"), "--algo", "bo", "--budget", "24"])
+    capsys.readouterr()
+    assert code == 0
+    assert calls["gp_predict"] > 0
+    assert calls["gp_predict"] == calls["expected_improvement"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from amsizer.gp import GpHyper, gp_fit, gp_predict, kernel
 from amsizer.optimizer import expected_improvement
@@ -85,6 +86,52 @@ def test_training_point_accuracy_many():
     # noise 1e-6 allows small deviations from exact interpolation
     assert np.max(np.abs(mean - ytr)) < 1e-3
     assert np.all(var >= 0.0)
+
+
+def _reference_predict(model, x):
+    """gp_predict as it read before the row norms were cached: kernel + solve_triangular."""
+    xq = np.atleast_2d(np.asarray(x, dtype=float))
+    aa = np.sum(xq * xq, axis=1)[:, None]
+    bb = np.sum(model.x * model.x, axis=1)[None, :]
+    d2 = np.maximum(aa + bb - 2.0 * (xq @ model.x.T), 0.0)
+    k_star = model.hyper.signal_var * np.exp(-0.5 * d2 / (model.hyper.lengthscale ** 2))
+    mean = model.prior_mean + k_star @ model.alpha
+    v = scipy.linalg.solve_triangular(model.chol, k_star.T, lower=True, check_finite=False)
+    var = model.hyper.signal_var - np.sum(v * v, axis=0)
+    return mean, np.maximum(var, 0.0)
+
+
+def _assert_predict_bitwise(model, xq):
+    mean, var = gp_predict(model, xq)
+    mean_r, var_r = _reference_predict(model, xq)
+    assert mean.tobytes() == mean_r.tobytes()
+    assert var.tobytes() == var_r.tobytes()
+
+
+def test_gp_predict_bitwise_equals_reference_form():
+    rng = np.random.default_rng(2024)
+    shapes = [(1, 1), (1, 15), (64, 1), (64, 15)]
+    shapes += [(int(rng.integers(1, 65)), int(rng.integers(1, 16))) for _ in range(36)]
+    for n, d in shapes:
+        model = gp_fit(rng.random((n, d)), rng.normal(size=n))
+        for row in rng.random((4, d)):
+            _assert_predict_bitwise(model, row)
+            _assert_predict_bitwise(model, row[None, :])
+        _assert_predict_bitwise(model, model.x[0])  # on a training point
+        _assert_predict_bitwise(model, rng.random((1024, d)))
+
+
+def test_gp_predict_bitwise_on_jittered_duplicate_model():
+    rng = np.random.default_rng(5)
+    base = rng.random((6, 3))
+    xtr = np.concatenate([base, base[:3]])
+    hyper = GpHyper(noise_var=0.0)
+    with pytest.raises(scipy.linalg.LinAlgError):  # so gp_fit must add jitter
+        scipy.linalg.cholesky(kernel(xtr, xtr, hyper), lower=True)
+    model = gp_fit(xtr, rng.normal(size=len(xtr)), hyper)
+    for row in rng.random((8, 3)):
+        _assert_predict_bitwise(model, row)
+    _assert_predict_bitwise(model, rng.random((1024, 3)))
 
 
 def test_kernel_basics():

@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import amsizer.optimizer
+from amsizer.gp import gp_fit, gp_predict
 from amsizer.netlist import FeasibleSet, MatchingGroup, ParameterSpace, SpaceEntry
 from amsizer.optimizer import (
+    EI_REFINE_ITERS,
     OptimizerRequest,
+    _Codec,
+    _refine_ei,
     de_step,
+    expected_improvement,
     optimize,
 )
 
@@ -273,3 +279,83 @@ def test_scaled_member_never_rounds_past_its_bound(algo):
     res = optimize(req, in_bounds)
     assert [ev.error for ev in res.evaluations] == [None] * 24
     assert max(ev.point["b"] for ev in res.evaluations) == 5e-6
+
+
+def _refine_ei_unmemoized(z0, model, f_star, codec, feasible, predict):
+    """The EI refinement loop with no memo: every trial step calls `predict`."""
+
+    def ei_at(z):
+        zp = codec.encode_matrix(feasible.project_matrix(codec.decode_matrix(z)))[0]
+        mean, var = predict(model, zp)
+        return float(expected_improvement(mean, var, f_star)[0]), zp
+
+    cur_ei, z = ei_at(z0)
+    step = 0.25
+    d = codec.dim
+    for it in range(EI_REFINE_ITERS):
+        j = it % d
+        improved = False
+        for delta in (step, -step):
+            z_try = z.copy()
+            z_try[j] = min(max(z_try[j] + delta, 0.0), 1.0)
+            e, zp = ei_at(z_try)
+            if e > cur_ei:
+                cur_ei, z = e, zp
+                improved = True
+        if not improved:
+            step *= 0.5
+    return z, cur_ei
+
+
+def test_refine_ei_memo_matches_unmemoized_loop(monkeypatch):
+    space = ParameterSpace(
+        (
+            SpaceEntry("w1", 1.0, 10.0),
+            SpaceEntry("w2", 1.0, 10.0),
+            SpaceEntry("w3", 1e-6, 1e-4, scale="log"),
+            SpaceEntry("w4", 1e-6, 1e-4, scale="log"),
+            SpaceEntry("r", 0.1, 5.0),
+            SpaceEntry("c", 1e-12, 1e-9, scale="log"),
+        )
+    )
+    matching = (
+        MatchingGroup("equal", ("w1", "w2")),
+        MatchingGroup("ratio", ("w3", "w4"), ratios=(1.0, 3.0)),
+    )
+    codec, feasible = _Codec(space), FeasibleSet(space, matching)
+    memo_calls, reference_calls = [], []
+
+    def counted(calls):
+        def predict(model, x):
+            calls.append(1)
+            return gp_predict(model, x)
+        return predict
+
+    monkeypatch.setattr(amsizer.optimizer, "gp_predict", counted(memo_calls))
+    rng = np.random.default_rng(17)
+    moved = 0
+    for _ in range(8):
+        n = int(rng.integers(2, 30))
+        xs = codec.encode_matrix(
+            feasible.project_matrix(codec.decode_matrix(rng.random((n, codec.dim))))
+        )
+        ys = rng.normal(size=n)
+        model = gp_fit(xs, ys)
+        f_star = float(np.max(ys))
+        # starts on and near the faces of the cube, so trial steps clip at 0 and 1
+        starts = np.concatenate(
+            [np.zeros((1, codec.dim)), np.ones((1, codec.dim)),
+             rng.choice([0.05, 0.9, 1.0], size=(1, codec.dim)), rng.random((3, codec.dim))]
+        )
+        for z0 in starts:
+            z_ref, e_ref = _refine_ei_unmemoized(
+                z0, model, f_star, codec, feasible, counted(reference_calls)
+            )
+            z, e = _refine_ei(z0, model, f_star, codec, feasible)
+            assert z.tobytes() == z_ref.tobytes()
+            assert np.float64(e).tobytes() == np.float64(e_ref).tobytes()
+            moved += not np.array_equal(z, codec.encode_matrix(feasible.project_matrix(
+                codec.decode_matrix(z0)))[0])
+    assert moved > 0
+    assert len(reference_calls) == 8 * 6 * (1 + 2 * EI_REFINE_ITERS)
+    assert len(memo_calls) < len(reference_calls)

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from pathlib import Path
@@ -15,7 +16,7 @@ from amsizer.mosfet import (
     smooth_overdrive,
 )
 from amsizer import simulator
-from amsizer.config import load_config
+from amsizer.config import build_state, load_config
 from amsizer.netlist import DeviceKind, parse_netlist, substitute_parameters
 from amsizer.simulator import NonConvergence, SingularMatrix, solve_dc
 
@@ -520,3 +521,34 @@ def test_unbound_circuit_rejected():
     with pytest.raises(Exception) as exc:
         solve_dc(c, {"NMOS": NMOS_IDEAL})
     assert "W1" in str(exc.value)
+
+
+def _live_compiled() -> int:
+    return sum(isinstance(o, simulator._Compiled) for o in gc.get_objects())
+
+
+def test_solve_dc_leaves_no_reference_cycle():
+    # the plain rung fails singular on every transistor point, and a kept
+    # exception's traceback would hold solve_dc's frame and its _Compiled
+    from amsizer.workflow import measure
+
+    cfg = load_config(DATA / "two_stage_run.yaml")
+    state = build_state(cfg)
+    floating = parse_netlist("V1 a 0 1\nR1 a b 1k\nR2 x y 1k\nI1 0 x 1m\n")
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_compiled()
+        for _ in range(3):
+            _dc, report, note = measure(state, cfg.space.midpoint())
+            assert report is not None and note == ""
+        assert _live_compiled() == before
+        failed = False
+        try:
+            solve_dc(floating, DEFAULT_MODEL_CARDS)
+        except (NonConvergence, SingularMatrix):
+            failed = True
+        assert failed
+        assert _live_compiled() == before
+    finally:
+        gc.enable()
