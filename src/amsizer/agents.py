@@ -11,11 +11,13 @@ behalf so the ledger stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 _LOOP_CONTEXT = ("netlist", "explanation", "dc_goals", "latest_result", "history")
 
 
+@cache
 def load_role_prompt(name: str) -> str:
     return resources.files("amsizer").joinpath(f"prompts/{name}.md").read_text(encoding="utf-8")
 

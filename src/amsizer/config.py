@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .llm import HttpBackend, LlmError, ScriptedBackend, load_scenario
+from .llm import HttpBackend, LlmError, ScriptedBackend, load_scenario, load_yaml
 from .metrics import Spec, validate_specs
 from .mosfet import DEFAULT_MODEL_CARDS, MosModelCard
 from .netlist import (
@@ -309,7 +309,7 @@ def load_config(path: str) -> RunConfig:
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = load_yaml(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -321,7 +321,8 @@ def load_config(path: str) -> RunConfig:
     netlist_path = _resolve(base_dir, _str(raw, "netlist", "config"))
     if not os.path.isfile(netlist_path):
         raise _fail("netlist", f"file not found: {netlist_path}")
-    netlist_text = open(netlist_path, encoding="utf-8").read()
+    with open(netlist_path, encoding="utf-8") as fh:
+        netlist_text = fh.read()
     try:
         circuit = parse_netlist(netlist_text)
     except NetlistError as exc:

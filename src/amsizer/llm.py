@@ -90,10 +90,22 @@ class ScriptedBackend:
         return ChatResponse(text=text, token_usage=usage, latency_ms=0.0)
 
 
+def load_yaml(stream):
+    """yaml.safe_load through libyaml when PyYAML was built with it.
+
+    CSafeLoader parses in C but resolves and constructs with the same
+    Python classes as SafeLoader, so both return equal objects.
+    """
+    return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
 def load_scenario(path: str) -> ScriptedBackend:
     """Load a scripted scenario: {responses: [{agent, text, repeat?}, ...]}."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = load_yaml(fh)
+        except yaml.YAMLError as exc:
+            raise LlmError(f"{path}: scenario is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict) or "responses" not in doc:
         raise LlmError(f"{path}: scenario must be a mapping with a 'responses' list")
     entries: list[tuple[str, str]] = []

@@ -10,7 +10,7 @@ stored verbatim — the narrative report quotes them, never paraphrases.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .state import BudgetLedger
 
@@ -67,17 +67,19 @@ class TraceLog:
     def record(self, phase: int, actor: str, kind: str, payload: dict) -> int:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown trace event kind {kind!r}")
-        event = TraceEvent(
-            seq=len(self.events) + 1,
-            timestamp=self._now(),
-            phase=phase,
-            actor=actor,
-            kind=kind,
-            payload=payload,
-        )
+        doc = {
+            "seq": len(self.events) + 1,
+            "timestamp": self._now(),
+            "phase": phase,
+            "actor": actor,
+            "kind": kind,
+            "payload": payload,
+        }
+        event = TraceEvent(**doc)
         self.events.append(event)
         if self._fh is not None:
-            self._fh.write(json.dumps(asdict(event), sort_keys=True) + "\n")
+            # payloads hold JSON types only, so they serialise as given
+            self._fh.write(json.dumps(doc, sort_keys=True) + "\n")
             self._fh.flush()
         return event.seq
 

@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import gc
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -201,6 +203,41 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(cfg))
         assert code == 1
         assert "netlist: file not found" in err
+
+    def test_malformed_scenario_exits_1_with_field(self, tmp_path, capsys):
+        (tmp_path / "cs.sp").write_text(CS_NETLIST)
+        (tmp_path / "scenario.yaml").write_text("responses: [unclosed\n")
+        (tmp_path / "run.yaml").write_text(
+            "netlist: cs.sp\n"
+            "parameters:\n"
+            "  - {name: W1, lo: 1e-6, hi: 1e-4, unit: m, scale: log}\n"
+            "  - {name: RL, lo: 100.0, hi: 1.0e6, unit: ohm, scale: log}\n"
+            "specs:\n"
+            "  - {metric: gain_db, direction: \">=\", target: 100, hardness: hard}\n"
+            "analysis:\n"
+            "  ac: {input_source: VIN, output_net: out}\n"
+            "backend: {kind: scripted, scenario: scenario.yaml}\n"
+        )
+        code, _, err = run_cli(capsys, "run", str(tmp_path / "run.yaml"))
+        assert code == 1
+        assert err.startswith("error: backend.scenario: ")
+        assert "scenario.yaml: scenario is not valid YAML" in err
+        assert "Traceback" not in err
+
+    def test_run_leaves_nothing_unclosed(self, tmp_path, capsys, monkeypatch):
+        # an unclosed file warns from its finalizer, where the error filter
+        # can only hand the exception to sys.unraisablehook
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            code, _, _ = run_cli(
+                capsys, "run", str(DATA / "two_stage_run.yaml"),
+                "--output-dir", str(tmp_path / "out"),
+            )
+            gc.collect()
+        assert code == 0
+        assert [repr(u.exc_value) for u in unraisable] == []
 
     def test_capped_run_exits_2_when_unmet(self, tmp_path, capsys):
         """Zeroed phase caps: phase 1 only, no sims, status incomplete."""

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
 from amsizer.config import (
     ConfigError,
@@ -10,11 +11,14 @@ from amsizer.config import (
     build_state,
     load_config,
 )
-from amsizer.llm import HttpBackend, ScriptedBackend
+from amsizer.llm import HttpBackend, ScriptedBackend, load_yaml
 from amsizer.state import TranPlan
 from amsizer.workflow import PhaseCaps
 
 DATA = Path(__file__).parent / "data"
+YAML_FILES = sorted(DATA.glob("*.yaml")) + sorted(
+    (Path(__file__).parent.parent / "perfbench" / "configs").glob("*.yaml")
+)
 
 CS_NETLIST = """\
 One-transistor common-source test stage
@@ -175,6 +179,18 @@ class TestScenarioFixtures:
         assert cfg.ac_plan.input_source == "VIP"
         backend = build_backend(cfg)
         assert backend.remaining == 54
+
+
+class TestYamlLoader:
+    @pytest.mark.parametrize("path", YAML_FILES, ids=lambda p: p.name)
+    def test_load_yaml_equals_safe_load(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert load_yaml(text) == yaml.safe_load(text)
+
+    def test_load_config_without_libyaml(self, monkeypatch):
+        expected = load_config(str(DATA / "two_stage_run.yaml"))
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert load_config(str(DATA / "two_stage_run.yaml")) == expected
 
 
 class TestDiagnostics:

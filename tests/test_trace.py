@@ -1,7 +1,13 @@
 """Tests for the append-only trace log, accounting fold, and report."""
 
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from amsizer import cli
 from amsizer.netlist import ParameterSpace, SpaceEntry
 from amsizer.optimizer import OptimizerRequest, optimize
 from amsizer.trace import (
@@ -59,6 +65,68 @@ class TestRecord:
                         '"actor": "a", "kind": "warning", "payload": {}}\nnot json\n')
         with pytest.raises(ValueError, match="bad trace record"):
             load_trace(str(path))
+
+
+DATA = Path(__file__).parent / "data"
+SCRIPTED = ("two_stage", "folded_cascode")
+
+# sha256 of the scripted sessions' artifacts, written by the asdict-based
+# serialisation (numpy 2.4 / scipy 1.17 OpenBLAS on x86-64; another BLAS
+# kernel may move the last bits of a float, so check the oracle test first)
+ARTIFACT_SHA256 = {
+    "two_stage": {
+        "trace.jsonl": "fd08365b8444f26a5f8a69c8cb5ff09a9f9d1f68057a3b5153fac95a70422a88",
+        "report.md": "e7ce9d4249671d1efe0be976197d67ac232d162d6ac358e253125a6cf9187319",
+        "best_point.json": "81f9c1cf7f402c659e70e1916e099936397f880abf505d9db80660f3b0ba029b",
+        "fom_series.csv": "d5acd06507d70da74dbe82b045ccffb3b757597ee215c90dc4017dff9a20490e",
+    },
+    "folded_cascode": {
+        "trace.jsonl": "4f078dc3b490c10788c9fb54c85c24b174fb813f7f5dd12900abee4248e63d8b",
+        "report.md": "55679679c088ec5ce020bfecabeb3793a47874d4c8062256fc70bc85c64905ab",
+        "best_point.json": "4941486139ea54a3d609a7cf464bd229e90999f10bd2d355bb74fad090b81c51",
+        "fom_series.csv": "dc08a24c38ebf4dc531031bdc693e58f13049f4a08cd8cf2b45bb5a11eedaefd",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def scripted_runs(tmp_path_factory):
+    """Both scripted sessions, run once through the CLI: name -> (out_dir, events)."""
+    logs = []
+
+    class KeptTraceLog(TraceLog):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            logs.append(self)
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "TraceLog", KeptTraceLog)
+        for name in SCRIPTED:
+            out_dir = tmp_path_factory.mktemp(name)
+            code = cli.main(["run", str(DATA / f"{name}_run.yaml"), "--output-dir", str(out_dir)])
+            assert code == 0
+            runs[name] = (out_dir, logs[-1].events)
+    return runs
+
+
+class TestScriptedBytes:
+    @pytest.mark.parametrize("name", SCRIPTED)
+    def test_lines_equal_asdict_serialisation(self, scripted_runs, name):
+        out_dir, events = scripted_runs[name]
+        lines = (out_dir / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(events) > 0
+        for line, event in zip(lines, events):
+            assert line == json.dumps(dataclasses.asdict(event), sort_keys=True)
+
+    @pytest.mark.parametrize("name", SCRIPTED)
+    def test_artifacts_hash_as_pinned(self, scripted_runs, name):
+        out_dir, _ = scripted_runs[name]
+        digests = {
+            artifact: hashlib.sha256((out_dir / artifact).read_bytes()).hexdigest()
+            for artifact in ARTIFACT_SHA256[name]
+        }
+        assert digests == ARTIFACT_SHA256[name]
 
 
 def _budget(log, phase, counter, delta, total):
