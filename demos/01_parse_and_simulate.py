@@ -5,7 +5,7 @@ Run:  python3 demos/01_parse_and_simulate.py
 """
 
 from amsizer.mosfet import DEFAULT_MODEL_CARDS
-from amsizer.netlist import parse_netlist, serialize_netlist, substitute_parameters
+from amsizer.netlist import parse_netlist, serialize_netlist
 from amsizer.simulator import solve_dc
 
 NETLIST = """\
@@ -27,7 +27,7 @@ def main() -> None:
 
     # a circuit with unbound placeholders cannot be simulated yet
     point = {"W1": 3e-6, "RL": 10e3}
-    bound = substitute_parameters(circuit, point)
+    bound = circuit.bind(point)
     print(f"\nbinding {point} and solving DC (Newton-Raphson on the MNA system)")
 
     dc = solve_dc(bound, DEFAULT_MODEL_CARDS)

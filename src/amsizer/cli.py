@@ -25,14 +25,14 @@ from .metrics import evaluate, extract_metrics
 from .mosfet import DEFAULT_MODEL_CARDS
 from .netlist import (
     BindingError,
+    DeviceKind,
     NetlistError,
     bind_parameters,
     parse_netlist,
     parse_value,
-    substitute_parameters,
 )
 from .optimizer import OptimizerRequest, optimize
-from .simulator import SimulationError, solve_ac, solve_dc, solve_transient
+from .simulator import SimulationError, Topology, solve_ac, solve_dc, solve_transient
 from .trace import TraceLog, fom_series, load_trace, render_report
 from .workflow import Workflow, WorkflowError, measure
 
@@ -147,17 +147,15 @@ def cmd_simulate(args) -> int:
         raise BindingError(
             f"unbound placeholder(s): {', '.join(unbound)}; use --param NAME=VALUE"
         )
-    if point:
-        circuit = substitute_parameters(circuit, point)
-
-    dc = solve_dc(circuit, DEFAULT_MODEL_CARDS)
+    system = Topology(circuit, DEFAULT_MODEL_CARDS).bind(point)
+    dc = solve_dc(system, DEFAULT_MODEL_CARDS)
 
     if args.ac:
         for flag in ("input", "output"):
             if getattr(args, flag) is None:
                 raise BindingError(f"--ac requires --{flag}")
         ac = solve_ac(
-            circuit, DEFAULT_MODEL_CARDS, dc,
+            system, DEFAULT_MODEL_CARDS, dc,
             args.input, args.output, args.f_lo, args.f_hi, args.pts_per_decade,
         )
         mag_db = 20.0 * np.log10(np.maximum(np.abs(ac.transfer), 1e-300))
@@ -174,10 +172,13 @@ def cmd_simulate(args) -> int:
         for flag in ("input", "output", "step_v", "t_stop", "dt"):
             if getattr(args, flag) is None:
                 raise BindingError(f"--tran requires --{flag.replace('_', '-')}")
-        v0 = circuit.device(args.input).value("DC")
+        source = system.topology.devices.get(args.input)
+        if source is None or source.kind not in (DeviceKind.VSOURCE, DeviceKind.ISOURCE):
+            raise BindingError(f"--input {args.input!r} is not an independent source")
+        v0 = system.value(args.input, "DC")
         stimulus = {args.input: [(0.0, v0 + args.step_v)]}
         tran = solve_transient(
-            circuit, DEFAULT_MODEL_CARDS, dc, stimulus, args.t_stop, args.dt,
+            system, DEFAULT_MODEL_CARDS, dc, stimulus, args.t_stop, args.dt,
         )
         if args.output not in tran.node_voltages:
             raise BindingError(f"no net named {args.output!r}")

@@ -4,9 +4,18 @@ Sections appear in a fixed order (netlist and sizing problem, circuit
 explanation, DC goals, latest simulation result, history tail) followed
 by the agent's task instruction, so the same state always renders to
 byte-identical text.
+
+What stays fixed within a run is rendered once and kept in
+`state.rendered`, together with the objects it was rendered from: the
+netlist section until the matching groups (or circuit, space or specs)
+change, the latest-result table until its entry or that entry's
+results change, and each history row until its entry's results change.
+A history entry's point is never mutated once the entry exists.
 """
 
 from __future__ import annotations
+
+from operator import is_
 
 from .netlist import serialize_netlist
 from .state import HistoryEntry, WorkflowState
@@ -22,7 +31,23 @@ def _fmt_point(point: dict[str, float], names) -> str:
     return ", ".join(f"{n}={_fmt(point[n])}" for n in names if n in point)
 
 
+def _cached(state: WorkflowState, key, sources: tuple, render) -> str:
+    """state.rendered[key], rendered again unless it was made from the
+    very objects in `sources`."""
+    hit = state.rendered.get(key)
+    if hit is not None and len(hit[0]) == len(sources) and all(map(is_, hit[0], sources)):
+        return hit[1]
+    text = render()
+    state.rendered[key] = (sources, text)
+    return text
+
+
 def _render_netlist(state: WorkflowState) -> str:
+    sources = (state.circuit, state.space, *state.specs, *state.matching_groups)
+    return _cached(state, "netlist", sources, lambda: _netlist_text(state))
+
+
+def _netlist_text(state: WorkflowState) -> str:
     lines = ["## Circuit netlist", "", serialize_netlist(state.circuit).rstrip(), ""]
     lines.append("## Sizing parameters")
     lines.append("")
@@ -73,8 +98,19 @@ def _latest_simulated(state: WorkflowState) -> HistoryEntry | None:
 
 
 def _render_latest_result(state: WorkflowState) -> str:
-    lines = ["## Latest simulation result", ""]
     entry = _latest_simulated(state)
+    sources = (state.space, *state.specs, *_entry_sources(entry))
+    return _cached(state, "latest_result", sources, lambda: _latest_result_text(state, entry))
+
+
+def _entry_sources(entry: HistoryEntry | None) -> tuple:
+    if entry is None:
+        return (None,)
+    return (entry, entry.point, entry.source, entry.dc, entry.report, entry.note)
+
+
+def _latest_result_text(state: WorkflowState, entry: HistoryEntry | None) -> str:
+    lines = ["## Latest simulation result", ""]
     if entry is None:
         lines.append("(no simulation results yet)")
         return "\n".join(lines)
@@ -116,22 +152,26 @@ def _render_history(state: WorkflowState) -> str:
         return "\n".join(lines)
     offset = len(state.sizing_history) - len(tail)
     for i, entry in enumerate(tail, start=offset + 1):
-        if entry.fom is not None:
-            status = f"fom={_fmt(entry.fom)}"
-        elif entry.dc is not None:
-            regions = ",".join(
-                f"{d}:{entry.dc.transistor_ops[d]['region']}"
-                for d in sorted(entry.dc.transistor_ops)
-            )
-            status = f"dc regions {regions}" if regions else "dc only"
-        else:
-            status = "not simulated"
-        if entry.note:
-            status = f"{status} | {entry.note}"
-        lines.append(
-            f"{i}. [{entry.source}] {_fmt_point(entry.point, state.space.names)} -> {status}"
-        )
+        sources = (state.space, *_entry_sources(entry))
+        lines.append(f"{i}. " + _cached(state, ("history", i), sources,
+                                        lambda: _history_row(state, entry)))
     return "\n".join(lines)
+
+
+def _history_row(state: WorkflowState, entry: HistoryEntry) -> str:
+    if entry.fom is not None:
+        status = f"fom={_fmt(entry.fom)}"
+    elif entry.dc is not None:
+        regions = ",".join(
+            f"{d}:{entry.dc.transistor_ops[d]['region']}"
+            for d in sorted(entry.dc.transistor_ops)
+        )
+        status = f"dc regions {regions}" if regions else "dc only"
+    else:
+        status = "not simulated"
+    if entry.note:
+        status = f"{status} | {entry.note}"
+    return f"[{entry.source}] {_fmt_point(entry.point, state.space.names)} -> {status}"
 
 
 _RENDERERS = {

@@ -22,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,22 @@ class Circuit:
     def mosfets(self) -> list[Device]:
         return [d for d in self.devices if d.kind is DeviceKind.MOSFET]
 
+    def bind(self, point: dict[str, float]) -> Circuit:
+        """This circuit with every placeholder replaced by its value in
+        `point`, without range validation (see bind_parameters)."""
+        devices = []
+        for d in self.devices:
+            values: dict[str, float | Param] = {}
+            for slot, v in d.values.items():
+                if isinstance(v, Param):
+                    if v.name not in point:
+                        raise BindingError(f"missing parameter {v.name!r}")
+                    values[slot] = float(point[v.name])
+                else:
+                    values[slot] = v
+            devices.append(Device(d.id, d.kind, d.terminals, values, model=d.model))
+        return Circuit(tuple(devices), self.nets, (), self.title)
+
 
 @dataclass(frozen=True)
 class SpaceEntry:
@@ -113,15 +130,20 @@ class ParameterSpace:
             if e.scale == "log" and e.lo <= 0:
                 raise ValueError(f"parameter {e.name!r}: log scale requires lo > 0")
 
-    @property
+    # computed on first use and kept; equality and hashing still see the fields only
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries)
 
+    @cached_property
+    def _by_name(self) -> dict[str, SpaceEntry]:
+        return {e.name: e for e in self.entries}
+
     def entry(self, name: str) -> SpaceEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(name) from None
 
     def midpoint(self) -> dict[str, float]:
         """Centre of the box (geometric centre for log-scaled entries)."""
@@ -393,46 +415,30 @@ def serialize_netlist(c: Circuit) -> str:
 # ---------------------------------------------------------------------------
 # binding and the feasible set
 
-def bind_parameters(
-    c: Circuit, space: ParameterSpace, point: dict[str, float]
-) -> Circuit:
-    """Substitute every placeholder in `c` with its value from `point`.
+def bind_parameters(c, space: ParameterSpace, point: dict[str, float]):
+    """Check `point` against `space` and return `c.bind(point)`.
 
-    Every circuit placeholder must be covered by `point` and lie inside
-    the [lo, hi] range of its ParameterSpace entry.
+    `c` is a Circuit, bound to the substituted Circuit, or a circuit
+    compiled once per run (`simulator.Topology`), bound to its MNA system
+    at `point`.  Every placeholder of `c` must be covered by `point` and
+    lie inside the [lo, hi] range of its ParameterSpace entry.
     """
-    space_names = set(space.names)
     for name in space.names:
         if name not in c.params:
             raise BindingError(f"space parameter {name!r} has no placeholder in the circuit")
+    by_name = space._by_name
     for name in c.params:
         if name not in point:
             raise BindingError(f"missing parameter {name!r}")
-        if name not in space_names:
+        e = by_name.get(name)
+        if e is None:
             raise BindingError(f"parameter {name!r} not present in the parameter space")
-        e = space.entry(name)
         v = point[name]
         if not (e.lo <= v <= e.hi):
             raise BindingError(
                 f"parameter {name!r} = {v} outside range [{e.lo}, {e.hi}]"
             )
-    return substitute_parameters(c, point)
-
-
-def substitute_parameters(c: Circuit, point: dict[str, float]) -> Circuit:
-    """Placeholder substitution without range validation (CLI/testing helper)."""
-    devices = []
-    for d in c.devices:
-        values: dict[str, float | Param] = {}
-        for slot, v in d.values.items():
-            if isinstance(v, Param):
-                if v.name not in point:
-                    raise BindingError(f"missing parameter {v.name!r}")
-                values[slot] = float(point[v.name])
-            else:
-                values[slot] = v
-        devices.append(Device(d.id, d.kind, d.terminals, values, model=d.model))
-    return Circuit(tuple(devices), c.nets, (), c.title)
+    return c.bind(point)
 
 
 def _leader_range(g: MatchingGroup, space: ParameterSpace) -> tuple[float, float]:

@@ -6,6 +6,11 @@ of a V source flows from its n+ terminal through the source to n-, so a
 source delivering power reports a negative current, matching SPICE's
 I(Vxx) convention.
 
+A Topology compiles a circuit once; binding it to a parameter point fills
+in a value vector and stamps G, C and the source vectors at precomputed
+positions.  Every analysis takes that bound system, or a numeric Circuit,
+which it compiles and binds to no parameters.
+
 DC solves run a convergence ladder: plain Newton, then Newton with gmin
 shunts on every node, then source stepping; any gmin-assisted solution
 is polished with a final gmin = 0 Newton pass so the reported residual
@@ -26,7 +31,7 @@ from scipy.linalg import qz
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .mosfet import MosModelCard, classify_region, mos_current
-from .netlist import BindingError, Circuit, DeviceKind
+from .netlist import BindingError, Circuit, DeviceKind, Param
 
 # Fixed solver constants, read at call time.
 NEWTON_TOL = 1e-9  # max |KCL residual|, amperes
@@ -67,7 +72,6 @@ class DcSolution:
     source_power_w: dict[str, float] = field(default_factory=dict)
     residual_a: float = 0.0
     iterations: int = 0
-    compiled: _Compiled | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -101,26 +105,86 @@ def _pwl_value(points: list[tuple[float, float]], t: float) -> float:
     return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
-class _Compiled:
-    """Index-resolved form of a numeric circuit for fast MNA assembly."""
+def _pair_stamps(a: int, b: int) -> list[tuple[int, int, float]]:
+    """(row, column, sign) of a two-terminal conductance or capacitance
+    stamp between unknowns a and b, in stamp order, ground (-1) skipped."""
+    out = []
+    if a >= 0:
+        out.append((a, a, 1.0))
+    if b >= 0:
+        out.append((b, b, 1.0))
+    if a >= 0 and b >= 0:
+        out += [(a, b, -1.0), (b, a, -1.0)]
+    return out
+
+
+class _Stamps:
+    """Per-point values added to a fixed base array at fixed positions, in
+    stamp order: entry k adds sign[k] * v[which[k]] at flat position pos[k].
+    `ufunc.at` adds in index order, so each entry gets the same sum as one
+    `+=` (or `-=`) per stamp."""
+
+    def __init__(self, base: np.ndarray, stamps: list[tuple[int, int, float]]):
+        self.base = base
+        self.pos = np.array([p for p, _, _ in stamps], int)
+        self.which = np.array([w for _, w, _ in stamps], int)
+        self.sign = np.array([g for _, _, g in stamps], float)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        out = self.base.copy()
+        np.add.at(out.reshape(-1), self.pos, v[self.which] * self.sign)
+        return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _source_vector(stamps, values: np.ndarray) -> np.ndarray:
+    v_rows, v_pos, i_stamps = stamps
+    b = i_stamps.apply(values)
+    b[v_rows] = values[v_pos]
+    return b
+
+
+class Topology:
+    """A circuit compiled once for many parameter points, as SPICE3-family
+    simulators do (Quarles 1989): every net and V source resolved to its
+    MNA unknown, every device value to a constant or a placeholder, and
+    every matrix stamp to its position.  `bind` fills in one point's
+    values, so a Topology binds through netlist.bind_parameters like a
+    Circuit."""
 
     def __init__(self, circuit: Circuit, models: dict[str, MosModelCard]):
-        unbound = circuit.params
-        if unbound:
-            raise BindingError(
-                f"circuit has unbound placeholders {list(unbound)}; bind a parameter point first"
-            )
-        self.circuit = circuit
+        self.circuit, self.models = circuit, models
+        self.params = circuit.params
+        self.devices = {d.id: d for d in circuit.devices}
         nets = sorted(circuit.nets - {"0"})
-        self.node_index = {n: i for i, n in enumerate(nets)}
-        self.node_index["0"] = -1
+        idx = self.node_index = {n: i for i, n in enumerate(nets)}
+        idx["0"] = -1
         self.n_nodes = len(nets)
         self.vsources = [d for d in circuit.devices if d.kind is DeviceKind.VSOURCE]
         self.isources = [d for d in circuit.devices if d.kind is DeviceKind.ISOURCE]
-        self.n_unknowns = self.n_nodes + len(self.vsources)
+        n = self.n_unknowns = self.n_nodes + len(self.vsources)
         self.labels = list(nets) + [f"I({v.id})" for v in self.vsources]
 
-        # MOSFETs: (device, card, W, L, d, g, s) with -1 for ground
+        # one value-vector position per device value: a constant, or a
+        # placeholder that bind() fills in
+        self.slots: dict[tuple[str, str], int] = {}
+        consts, self._param_pos, self._param_names = [], [], []
+        for d in circuit.devices:
+            for slot, v in d.values.items():
+                self.slots[d.id, slot] = len(consts)
+                if isinstance(v, Param):
+                    self._param_pos.append(len(consts))
+                    self._param_names.append(v.name)
+                    v = 0.0
+                consts.append(v)
+        self._consts = np.array(consts, float)
+        self._param_pos = np.array(self._param_pos, int)
+
+        # MOSFETs: (device, card, d, g, s) with -1 for ground
         self.mosfets = []
         for d in circuit.devices:
             if d.kind is not DeviceKind.MOSFET:
@@ -128,51 +192,59 @@ class _Compiled:
             card = models.get(d.model or "")
             if card is None:
                 raise SimulationError(f"no model card named {d.model!r} for device {d.id}")
-            idx = self.node_index
-            self.mosfets.append(
-                (
-                    d,
-                    card,
-                    d.value("W"),
-                    d.value("L"),
-                    idx[d.terminals[0]],
-                    idx[d.terminals[1]],
-                    idx[d.terminals[2]],
-                )
-            )
+            self.mosfets.append((d, card, *(idx[t] for t in d.terminals[:3])))
+        self._w_pos = np.array([self.slots[d.id, "W"] for d, *_ in self.mosfets], int)
+        self._l_pos = np.array([self.slots[d.id, "L"] for d, *_ in self.mosfets], int)
+        self._cox = np.array([card.cox_area for _, card, *_ in self.mosfets], float)
 
-        n = self.n_unknowns
-        g0 = np.zeros((n, n))
-        for d in circuit.devices:
-            if d.kind is DeviceKind.RESISTOR:
-                self._stamp_pair(g0, self.node_index[d.terminals[0]],
-                                 self.node_index[d.terminals[1]], 1.0 / d.value("R"))
+        # G0: each V source's incidence entries, then resistor conductances
+        g_base = np.zeros((n, n))
         for k, v in enumerate(self.vsources):
             row = self.n_nodes + k
-            p = self.node_index[v.terminals[0]]
-            m = self.node_index[v.terminals[1]]
-            if p >= 0:
-                g0[row, p] += 1.0
-                g0[p, row] += 1.0
-            if m >= 0:
-                g0[row, m] -= 1.0
-                g0[m, row] -= 1.0
-        self.g0 = g0
-
-        # DC right-hand side (F = G x - b + mos terms)
-        self.b_dc = self.source_vector("DC")
-
-        # capacitance matrix: explicit caps plus each MOSFET's Cgs
-        c = np.zeros((n, n))
-        for d in circuit.devices:
-            if d.kind is DeviceKind.CAPACITOR:
-                self._stamp_pair(c, self.node_index[d.terminals[0]],
-                                 self.node_index[d.terminals[1]], d.value("C"))
-        for _, card, w, l, _, gi, si in self.mosfets:
-            cgs = (2.0 / 3.0) * w * l * card.cox_area
-            if cgs > 0.0:
-                self._stamp_pair(c, gi, si, cgs)
-        self.c_mat = c
+            for t, sign in ((v.terminals[0], 1.0), (v.terminals[1], -1.0)):
+                if idx[t] >= 0:
+                    g_base[row, idx[t]] += sign
+                    g_base[idx[t], row] += sign
+        resistors = [d for d in circuit.devices if d.kind is DeviceKind.RESISTOR]
+        self._r_pos = np.array([self.slots[d.id, "R"] for d in resistors], int)
+        self._g0 = _Stamps(g_base, [
+            (row * n + col, k, sign)
+            for k, d in enumerate(resistors)
+            for row, col, sign in _pair_stamps(idx[d.terminals[0]], idx[d.terminals[1]])
+        ])
+        # C: explicit caps (in netlist order), then each MOSFET's Cgs
+        caps = [d for d in circuit.devices if d.kind is DeviceKind.CAPACITOR]
+        self._c_pos = np.array([self.slots[d.id, "C"] for d in caps], int)
+        pairs = [(idx[d.terminals[0]], idx[d.terminals[1]]) for d in caps]
+        pairs += [(gi, si) for _, _, _, gi, si in self.mosfets]
+        self._c = _Stamps(np.zeros((n, n)), [
+            (row * n + col, k, sign)
+            for k, (a, b) in enumerate(pairs)
+            for row, col, sign in _pair_stamps(a, b)
+        ])
+        # per source slot ("DC" or "AC"): V-source rows and value positions,
+        # then each I source's (row, value position, sign) in stamp order
+        self._sources = {}
+        for slot in ("DC", "AC"):
+            v_rows = [self.n_nodes + k for k, v in enumerate(self.vsources) if slot in v.values]
+            v_pos = [self.slots[v.id, slot] for v in self.vsources if slot in v.values]
+            i_stamps = [
+                (row, self.slots[s.id, slot], sign)
+                for s in self.isources if slot in s.values
+                for row, sign in ((idx[s.terminals[0]], -1.0), (idx[s.terminals[1]], 1.0))
+                if row >= 0
+            ]
+            self._sources[slot] = (np.array(v_rows, int), np.array(v_pos, int),
+                                   _Stamps(np.zeros(n), i_stamps))
+        # G0 and b_dc fed by constants only are assembled here, once, and
+        # shared read-only by every bound point
+        fixed = set(self._param_pos.tolist()).isdisjoint
+        self._g0_fixed = self._b_dc_fixed = None
+        if fixed(self._r_pos.tolist()):
+            self._g0_fixed = _read_only(self._g0.apply(1.0 / self._consts[self._r_pos]))
+        v_rows, v_pos, i_stamps = self._sources["DC"]
+        if fixed(v_pos.tolist()) and fixed(i_stamps.which.tolist()):
+            self._b_dc_fixed = _read_only(_source_vector(self._sources["DC"], self._consts))
 
         # flat node diagonals (row * n + col) for the gmin shunt
         self._diag = slice(0, self.n_nodes * (n + 1), n + 1)
@@ -180,7 +252,7 @@ class _Compiled:
         # Jacobian position or residual row, and which of the device's
         # values (i_d, -i_d, gm, gds, -(gm + gds), -gm, -gds, gm + gds) it adds
         jac_pos, jac_val, res_rows, res_val = [], [], [], []
-        for k, (_, _, _, _, di, gi, si) in enumerate(self.mosfets):
+        for k, (_, _, di, gi, si) in enumerate(self.mosfets):
             for row, col, which in ((di, gi, 2), (di, di, 3), (di, si, 4),
                                     (si, gi, 5), (si, di, 6), (si, si, 7)):
                 if row >= 0 and col >= 0:
@@ -193,33 +265,53 @@ class _Compiled:
         self._jac_pos, self._jac_val = np.array(jac_pos, int), np.array(jac_val, int)
         self._res_rows, self._res_val = np.array(res_rows, int), np.array(res_val, int)
 
-    @staticmethod
-    def _stamp_pair(mat: np.ndarray, a: int, b: int, val: float):
-        if a >= 0:
-            mat[a, a] += val
-        if b >= 0:
-            mat[b, b] += val
-        if a >= 0 and b >= 0:
-            mat[a, b] -= val
-            mat[b, a] -= val
+    def bind(self, point: dict[str, float]) -> _Compiled:
+        """The MNA system at `point`'s placeholder values, unchecked
+        against any range (see netlist.bind_parameters)."""
+        values = self._consts.copy()
+        if self._param_names:
+            try:
+                values[self._param_pos] = [point[name] for name in self._param_names]
+            except KeyError:
+                unbound = [name for name in self.params if name not in point]
+                raise BindingError(
+                    f"circuit has unbound placeholders {unbound}; bind a parameter point first"
+                ) from None
+        return _Compiled(self, values)
+
+
+class _Compiled:
+    """A Topology bound to one point's values: its MNA matrices and the
+    Newton solver over them."""
+
+    def __init__(self, topology: Topology, values: np.ndarray):
+        t = self.topology = topology
+        self.values = values
+        self.node_index, self.n_nodes, self.n_unknowns = t.node_index, t.n_nodes, t.n_unknowns
+        self.labels, self.vsources, self.isources = t.labels, t.vsources, t.isources
+        self._diag, self._jac_pos, self._jac_val = t._diag, t._jac_pos, t._jac_val
+        self._res_rows, self._res_val = t._res_rows, t._res_val
+        w, l = values[t._w_pos], values[t._l_pos]
+        # MOSFETs: (device, card, W, L, d, g, s) with -1 for ground
+        self.mosfets = [
+            (dev, card, wk, lk, di, gi, si)
+            for (dev, card, di, gi, si), wk, lk in zip(t.mosfets, w.tolist(), l.tolist())
+        ]
+        self.g0 = t._g0_fixed if t._g0_fixed is not None else t._g0.apply(1.0 / values[t._r_pos])
+        # DC right-hand side (F = G x - b + mos terms)
+        self.b_dc = t._b_dc_fixed if t._b_dc_fixed is not None else self.source_vector("DC")
+        # Cgs = 2/3 W L Cox, stamped only where positive
+        cgs = (2.0 / 3.0) * w * l * t._cox
+        self.c_mat = t._c.apply(np.concatenate((values[t._c_pos], np.where(cgs > 0.0, cgs, 0.0))))
+
+    def value(self, dev_id: str, slot: str) -> float:
+        """The bound value of device `dev_id`'s `slot`."""
+        return float(self.values[self.topology.slots[dev_id, slot]])
 
     def source_vector(self, slot: str) -> np.ndarray:
         """Right-hand side of every independent source's `slot` value
         ("DC" or "AC"); sources without that slot contribute nothing."""
-        b = np.zeros(self.n_unknowns)
-        for k, v in enumerate(self.vsources):
-            if slot in v.values:
-                b[self.n_nodes + k] = v.value(slot)
-        for s in self.isources:
-            if slot in s.values:
-                p = self.node_index[s.terminals[0]]
-                m = self.node_index[s.terminals[1]]
-                i = s.value(slot)
-                if p >= 0:
-                    b[p] -= i
-                if m >= 0:
-                    b[m] += i
-        return b
+        return _source_vector(self.topology._sources[slot], self.values)
 
     # -- nonlinear assembly ------------------------------------------------
 
@@ -297,11 +389,20 @@ class _Compiled:
         raise NonConvergence(residual, max_iters, context)
 
 
-def _linearisation_point(circuit: Circuit, models: dict[str, MosModelCard], dc: DcSolution):
-    """solve_dc's compiled circuit (fresh if `dc` is another circuit's) and DC vector."""
-    comp = dc.compiled
-    if comp is None or comp.circuit is not circuit:
-        comp = _Compiled(circuit, models)
+def _system(circuit: Circuit | _Compiled, models: dict[str, MosModelCard]) -> _Compiled:
+    """A bound system as it is; a Circuit compiled, then bound to no parameters.
+
+    A bound system carries the model cards its Topology was compiled with,
+    so `models` is read only for a Circuit."""
+    if isinstance(circuit, _Compiled):
+        return circuit
+    return Topology(circuit, models).bind({})
+
+
+def _linearisation_point(circuit: Circuit | _Compiled, models: dict[str, MosModelCard],
+                         dc: DcSolution):
+    """The bound system and its DC solution vector."""
+    comp = _system(circuit, models)
     x = np.zeros(comp.n_unknowns)
     for net, i in comp.node_index.items():
         if i >= 0:
@@ -311,9 +412,12 @@ def _linearisation_point(circuit: Circuit, models: dict[str, MosModelCard], dc: 
     return comp, x
 
 
-def solve_dc(circuit: Circuit, models: dict[str, MosModelCard]) -> DcSolution:
-    """DC operating point via the Newton convergence ladder."""
-    comp = _Compiled(circuit, models)
+def solve_dc(circuit: Circuit | _Compiled, models: dict[str, MosModelCard]) -> DcSolution:
+    """DC operating point via the Newton convergence ladder.
+
+    `circuit` is a numeric Circuit or a Topology bound to a point
+    (netlist.bind_parameters), which is solved without compiling again."""
+    comp = _system(circuit, models)
     zeros = np.zeros(comp.n_unknowns)
     last_error: NonConvergence | SingularMatrix | None = None
 
@@ -401,7 +505,7 @@ def _finish_dc(comp: _Compiled, x: np.ndarray, iters: int, residual: float) -> D
         power[v.id] = abs(dv * volts[comp.n_nodes + k])
     for s in comp.isources:
         dv = volts[comp.node_index[s.terminals[0]]] - volts[comp.node_index[s.terminals[1]]]
-        power[s.id] = abs(dv * s.value("DC"))
+        power[s.id] = abs(dv * comp.value(s.id, "DC"))
     return DcSolution(
         node_voltages=node_voltages,
         branch_currents=branch_currents,
@@ -409,7 +513,6 @@ def _finish_dc(comp: _Compiled, x: np.ndarray, iters: int, residual: float) -> D
         source_power_w=power,
         residual_a=residual,
         iterations=iters,
-        compiled=comp,
     )
 
 
@@ -428,7 +531,7 @@ def frequency_grid(f_lo: float, f_hi: float, pts_per_decade: int = MIN_PTS_PER_D
 
 
 def solve_ac(
-    circuit: Circuit,
+    circuit: Circuit | _Compiled,
     models: dict[str, MosModelCard],
     dc: DcSolution,
     input_source: str,
@@ -441,10 +544,9 @@ def solve_ac(
     comp, x_dc = _linearisation_point(circuit, models, dc)
     if output_net not in comp.node_index:
         raise SimulationError(f"unknown output net {output_net!r}")
-    try:
-        src = circuit.device(input_source)
-    except KeyError:
-        raise SimulationError(f"unknown input source {input_source!r}") from None
+    src = comp.topology.devices.get(input_source)
+    if src is None:
+        raise SimulationError(f"unknown input source {input_source!r}")
     if src.kind not in (DeviceKind.VSOURCE, DeviceKind.ISOURCE):
         raise SimulationError(f"{input_source!r} is not an independent source")
 
@@ -472,8 +574,8 @@ def solve_ac(
     vout = acc[0]
     if not np.isfinite(vout).all():
         raise SingularMatrix("AC system")
-    ac_in = src.values.get("AC", 1.0)
-    if isinstance(ac_in, float) and ac_in != 0.0:
+    ac_in = comp.value(input_source, "AC") if "AC" in src.values else 1.0
+    if ac_in != 0.0:
         transfer = vout / ac_in
     else:
         transfer = vout
@@ -481,7 +583,7 @@ def solve_ac(
 
 
 def solve_transient(
-    circuit: Circuit,
+    circuit: Circuit | _Compiled,
     models: dict[str, MosModelCard],
     dc: DcSolution,
     stimulus: dict[str, list[tuple[float, float]]],
@@ -502,16 +604,13 @@ def solve_transient(
     # (points, vsource row | None, isource (p, m, dc) | None) per driven source
     drives = []
     for sid, points in stimulus.items():
-        try:
-            dev = circuit.device(sid)
-        except KeyError:
-            dev = None
+        dev = comp.topology.devices.get(sid)
         if dev is not None and dev.kind is DeviceKind.VSOURCE:
             drives.append((points, comp.labels.index(f"I({sid})"), None))
         elif dev is not None and dev.kind is DeviceKind.ISOURCE:
             p = comp.node_index[dev.terminals[0]]
             m = comp.node_index[dev.terminals[1]]
-            drives.append((points, None, (p, m, dev.value("DC"))))
+            drives.append((points, None, (p, m, comp.value(sid, "DC"))))
         else:
             raise SimulationError(f"stimulus target {sid!r} is not an independent source")
 

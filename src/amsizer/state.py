@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .metrics import MetricReport, Spec
 from .mosfet import MosModelCard
 from .netlist import Circuit, MatchingGroup, ParameterSpace
-from .simulator import DcSolution
+from .simulator import DcSolution, Topology
 
 REGION_GOALS = ("cutoff", "triode", "saturation")
 
@@ -89,6 +89,18 @@ class WorkflowState:
     budgets: BudgetLedger = field(default_factory=BudgetLedger)
     phase: int = 1
     history_tail: int = 10
+    # computed once per run from the fields above: the compiled circuit
+    # (topology()) and the prompt sections context.assemble_context keeps
+    _topology: Topology | None = field(default=None, init=False, repr=False, compare=False)
+    rendered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def topology(self) -> Topology:
+        """The circuit compiled with the model cards, once per run (again
+        only if `circuit` or `model_cards` is replaced)."""
+        topo = self._topology
+        if topo is None or topo.circuit is not self.circuit or topo.models is not self.model_cards:
+            self._topology = Topology(self.circuit, self.model_cards)
+        return self._topology
 
     @property
     def current_point(self) -> dict[str, float] | None:

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 from .state import BudgetLedger
 
+# json.dumps(doc, sort_keys=True) builds this encoder on every call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 EVENT_KINDS = (
     "agent_input",
     "agent_output",
@@ -79,7 +82,7 @@ class TraceLog:
         self.events.append(event)
         if self._fh is not None:
             # payloads hold JSON types only, so they serialise as given
-            self._fh.write(json.dumps(doc, sort_keys=True) + "\n")
+            self._fh.write(_ENCODER.encode(doc) + "\n")
             self._fh.flush()
         return event.seq
 

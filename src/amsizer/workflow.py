@@ -16,7 +16,7 @@ and auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .agents import AGENTS
 from .context import assemble_context
@@ -102,13 +102,13 @@ def measure(state: WorkflowState, point: dict[str, float], full: bool = True):
     optimizer-only baseline.  A DC-only measurement (full=False) has no
     report.  A failed transient is not fatal: the report then lacks the
     transient metrics and `note` says why.  Raises SimulationError when
-    the DC or AC analysis fails.  The returned DC solution drops its
-    compiled circuit, so a history of them keeps no point's circuit alive.
+    the DC or AC analysis fails.  The circuit is compiled once per state;
+    each point only binds its values to that topology.
     """
-    bound = bind_parameters(state.circuit, state.space, point)
+    bound = bind_parameters(state.topology(), state.space, point)
     dc = solve_dc(bound, state.model_cards)
     if not full:
-        return replace(dc, compiled=None), None, ""
+        return dc, None, ""
     plan = state.ac_plan
     ac = solve_ac(
         bound,
@@ -124,14 +124,14 @@ def measure(state: WorkflowState, point: dict[str, float], full: bool = True):
     note = ""
     if state.tran_plan is not None:
         tp = state.tran_plan
-        v0 = bound.device(tp.source).value("DC")
+        v0 = bound.value(tp.source, "DC")
         stimulus = {tp.source: [(0.0, v0 + tp.step_v)]}
         try:
             tran = solve_transient(bound, state.model_cards, dc, stimulus, tp.t_stop, tp.dt)
         except SimulationError as exc:
             note = f"transient failed: {exc}"
     values = extract_metrics(ac, dc, tran, plan.output_net)
-    return replace(dc, compiled=None), evaluate(values, state.specs), note
+    return dc, evaluate(values, state.specs), note
 
 
 class Workflow:

@@ -123,6 +123,18 @@ class TestSimulate:
         final_v = float(lines[-1].split(",")[1])
         assert final_v == pytest.approx(1.0 - 2.718281828 ** -0.6284, abs=0.05)
 
+    @pytest.mark.parametrize("source", ["VNOPE", "C1"])
+    def test_tran_input_must_be_a_source(self, tmp_path, capsys, source):
+        # an unknown device, and a device that is not a source
+        netlist = tmp_path / "rc.sp"
+        netlist.write_text(RC_LOWPASS)
+        code, out, err = run_cli(
+            capsys, "simulate", str(netlist), "--tran",
+            "--input", source, "--output", "out",
+            "--step-v", "1.0", "--t-stop", "1e-4", "--dt", "1e-5",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: --input {source!r} is not an independent source\n"
 
     def test_readme_transient_command_takes_si_suffixes(self, tmp_path, capsys):
         netlist = tmp_path / "my_amp.sp"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from pathlib import Path
@@ -11,7 +10,13 @@ from amsizer import simulator, workflow
 from amsizer.config import build_state, load_config
 from amsizer.metrics import extract_metrics
 from amsizer.mosfet import DEFAULT_MODEL_CARDS, MosModelCard
-from amsizer.netlist import parse_netlist, substitute_parameters
+from amsizer.netlist import (
+    DeviceKind,
+    ParameterSpace,
+    SpaceEntry,
+    bind_parameters,
+    parse_netlist,
+)
 from amsizer.simulator import (
     AcSweep,
     SimulationError,
@@ -251,7 +256,7 @@ def _operating_points(run, seed, count, first=None):
     found = []
     while len(found) < count:
         point = first if first is not None and not found else _random_point(cfg.space, rng)
-        circuit = substitute_parameters(base, point)
+        circuit = base.bind(point)
         try:
             found.append((circuit, solve_dc(circuit, cfg.model_cards)))
         except SimulationError:
@@ -329,45 +334,165 @@ def test_metrics_match_stacked_solve(run):
     assert crossings > 0
 
 
-def test_measure_compiles_each_point_once(monkeypatch):
+def test_measure_compiles_the_topology_once_per_state(monkeypatch):
     cfg = load_config(ROOT / "perfbench" / "configs" / "de_tran_run.yaml")
-    state = build_state(cfg)
-    assert state.tran_plan is not None
-    init = simulator._Compiled.__init__
+    init = simulator.Topology.__init__
     compiles = []
 
     def counted(self, *args, **kwargs):
-        compiles.append(1)
+        compiles.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(simulator._Compiled, "__init__", counted)
+    monkeypatch.setattr(simulator.Topology, "__init__", counted)
     rng = random.Random(3)
     points = [_random_point(cfg.space, rng) for _ in range(4)]
-    measured = 0
-    for k, point in enumerate(points, start=1):
-        try:
-            dc, _, _ = workflow.measure(state, point)
-        except SimulationError:
-            pass
-        else:
-            # the caller's copy keeps no compiled circuit alive
-            assert dc.compiled is None
-            measured += 1
-        assert len(compiles) == k
-    assert measured > 0
+    for run in range(2):
+        state = build_state(cfg)
+        assert state.tran_plan is not None
+        measured = 0
+        for point in points:
+            for full in (False, True):
+                try:
+                    workflow.measure(state, point, full)
+                except SimulationError:
+                    pass
+                else:
+                    measured += 1
+            # the first measurement of a state compiles; every other one binds
+            assert len(compiles) == run + 1
+        assert measured > 0
+        assert state.topology() is compiles[-1]
+
+
+def _reference_system(circuit, models):
+    """The former per-point compile of a numeric circuit, kept as the
+    reference: (G0, C, b_dc, AC right-hand side), one `+=` per stamp."""
+    nets = sorted(circuit.nets - {"0"})
+    idx = {n: i for i, n in enumerate(nets)}
+    idx["0"] = -1
+    vsources = [d for d in circuit.devices if d.kind is DeviceKind.VSOURCE]
+    isources = [d for d in circuit.devices if d.kind is DeviceKind.ISOURCE]
+    n = len(nets) + len(vsources)
+
+    def stamp_pair(mat, a, b, val):
+        if a >= 0:
+            mat[a, a] += val
+        if b >= 0:
+            mat[b, b] += val
+        if a >= 0 and b >= 0:
+            mat[a, b] -= val
+            mat[b, a] -= val
+
+    def source_vector(slot):
+        b = np.zeros(n)
+        for k, v in enumerate(vsources):
+            if slot in v.values:
+                b[len(nets) + k] = v.value(slot)
+        for s in isources:
+            if slot in s.values:
+                p, m = idx[s.terminals[0]], idx[s.terminals[1]]
+                if p >= 0:
+                    b[p] -= s.value(slot)
+                if m >= 0:
+                    b[m] += s.value(slot)
+        return b
+
+    g0 = np.zeros((n, n))
+    for d in circuit.devices:
+        if d.kind is DeviceKind.RESISTOR:
+            stamp_pair(g0, idx[d.terminals[0]], idx[d.terminals[1]], 1.0 / d.value("R"))
+    for k, v in enumerate(vsources):
+        row, p, m = len(nets) + k, idx[v.terminals[0]], idx[v.terminals[1]]
+        if p >= 0:
+            g0[row, p] += 1.0
+            g0[p, row] += 1.0
+        if m >= 0:
+            g0[row, m] -= 1.0
+            g0[m, row] -= 1.0
+    c = np.zeros((n, n))
+    for d in circuit.devices:
+        if d.kind is DeviceKind.CAPACITOR:
+            stamp_pair(c, idx[d.terminals[0]], idx[d.terminals[1]], d.value("C"))
+    for d in circuit.mosfets():
+        cgs = (2.0 / 3.0) * d.value("W") * d.value("L") * models[d.model].cox_area
+        if cgs > 0.0:
+            stamp_pair(c, idx[d.terminals[1]], idx[d.terminals[2]], cgs)
+    return g0, c, source_vector("DC"), source_vector("AC")
+
+
+# every kind of value a placeholder can feed: a resistor, a V source's DC
+# and AC values, an I source, a capacitor, W and L; M2's gate is grounded.
+# Three resistors share (vdd, out), and two caps share (in, x) with M1's
+# Cgs, so those entries are sums of three terms whose order sets the bits.
+SYNTHETIC = """Every slot a placeholder
+V1 vdd 0 DC {VDD}
+V2 in 0 DC 0.7 AC {VAC}
+I1 vdd x {IB}
+R1 vdd out {RL}
+R2 x 0 10k
+R3 vdd out 3.3k
+R4 out vdd 7.1k
+C1 in x {CL}
+C2 x in 0.37p
+M1 out in x 0 NMOS W={W1} L=1u
+M2 x 0 vdd vdd PMOS W=2u L={L2}
+.end
+"""
+SYNTHETIC_SPACE = ParameterSpace(tuple(
+    SpaceEntry(name, lo, hi) for name, lo, hi in (
+        ("VDD", 1.2, 1.8), ("VAC", 0.5, 2.0), ("IB", 1e-6, 1e-4), ("RL", 1e3, 1e5),
+        ("CL", 1e-13, 1e-11), ("W1", 1e-6, 1e-4), ("L2", 2e-7, 5e-6),
+    )
+))
+
+
+@pytest.mark.parametrize(
+    "run", ["two_stage_run.yaml", "folded_cascode_run.yaml", "de_tran_run.yaml", "synthetic"]
+)
+def test_bound_topology_matches_per_point_compile_bit_for_bit(run):
+    if run == "synthetic":
+        base, models, space = parse_netlist(SYNTHETIC), DEFAULT_MODEL_CARDS, SYNTHETIC_SPACE
+    else:
+        path = ROOT / "perfbench" / "configs" / run if run == "de_tran_run.yaml" else DATA / run
+        cfg = load_config(path)
+        base, models, space = parse_netlist(cfg.netlist_text), cfg.model_cards, cfg.space
+    topology = simulator.Topology(base, models)
+    rng = random.Random(23)
+    for point in [space.midpoint()] + [_random_point(space, rng) for _ in range(20)]:
+        comp = bind_parameters(topology, space, point)
+        circuit = base.bind(point)
+        ref = _reference_system(circuit, models)
+        got = (comp.g0, comp.c_mat, comp.b_dc, comp.source_vector("AC"))
+        for name, a, b in zip(("g0", "c_mat", "b_dc", "ac"), got, ref):
+            assert a.tobytes() == b.tobytes(), name
+        # every MOSFET, numeric ones such as the folded cascode's M9 included
+        wl = [(d.id, d.value("W"), d.value("L")) for d in circuit.mosfets()]
+        assert [(m[0].id, m[2], m[3]) for m in comp.mosfets] == wl
 
 
 def test_reused_compilation_is_byte_identical():
-    cfg, points = _operating_points("two_stage_run.yaml", seed=9, count=3)
+    # a topology bound per point solves to the bits of a circuit compiled per point
+    cfg = load_config(DATA / "two_stage_run.yaml")
     plan = build_state(cfg).ac_plan
-    for circuit, dc in points:
-        fresh = dataclasses.replace(dc, compiled=None)
-        args = (plan.input_source, plan.output_net, plan.f_lo, plan.f_hi, plan.pts_per_decade)
-        reused = solve_ac(circuit, cfg.model_cards, dc, *args)
-        rebuilt = solve_ac(circuit, cfg.model_cards, fresh, *args)
+    base = parse_netlist(cfg.netlist_text)
+    topology = simulator.Topology(base, cfg.model_cards)
+    rng = random.Random(9)
+    args = (plan.input_source, plan.output_net, plan.f_lo, plan.f_hi, plan.pts_per_decade)
+    stim = {plan.input_source: [(0.0, 0.0), (1e-8, 0.1)]}
+    compared = 0
+    while compared < 3:
+        point = _random_point(cfg.space, rng)
+        circuit, bound = base.bind(point), topology.bind(point)
+        try:
+            dc = solve_dc(circuit, cfg.model_cards)
+        except SimulationError:
+            continue
+        assert solve_dc(bound, cfg.model_cards) == dc
+        rebuilt = solve_ac(circuit, cfg.model_cards, dc, *args)
+        reused = solve_ac(bound, cfg.model_cards, dc, *args)
         assert reused.transfer.tobytes() == rebuilt.transfer.tobytes()
-        stim = {plan.input_source: [(0.0, 0.0), (1e-8, 0.1)]}
-        a = simulator.solve_transient(circuit, cfg.model_cards, dc, stim, 2e-7, 1e-9)
-        b = simulator.solve_transient(circuit, cfg.model_cards, fresh, stim, 2e-7, 1e-9)
+        a = simulator.solve_transient(bound, cfg.model_cards, dc, stim, 2e-7, 1e-9)
+        b = simulator.solve_transient(circuit, cfg.model_cards, dc, stim, 2e-7, 1e-9)
         for net, v in a.node_voltages.items():
             assert v.tobytes() == b.node_voltages[net].tobytes()
+        compared += 1

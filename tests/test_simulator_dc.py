@@ -17,7 +17,7 @@ from amsizer.mosfet import (
 )
 from amsizer import simulator
 from amsizer.config import build_state, load_config
-from amsizer.netlist import DeviceKind, parse_netlist, substitute_parameters
+from amsizer.netlist import DeviceKind, parse_netlist
 from amsizer.simulator import NonConvergence, SingularMatrix, solve_dc
 
 DATA = Path(__file__).parent / "data"
@@ -292,7 +292,7 @@ def test_singular_matrix_reported():
 
 def _two_unknowns():
     # unknowns: node "a", then the branch current "I(V1)"
-    return simulator._Compiled(parse_netlist("V1 a 0 1\nR1 a 0 1k\n"), {})
+    return simulator.Topology(parse_netlist("V1 a 0 1\nR1 a 0 1k\n"), {}).bind({})
 
 
 @pytest.mark.parametrize(
@@ -348,7 +348,7 @@ def test_solve_linear_matches_scipy_lu_solve(monkeypatch):
     cfg = load_config(DATA / "two_stage_run.yaml")
     mid = cfg.space.midpoint()
     for point in (mid, {**mid, "W6": 1e-4, "CC": 1e-12}):
-        solve_dc(substitute_parameters(parse_netlist(cfg.netlist_text), point), cfg.model_cards)
+        solve_dc(parse_netlist(cfg.netlist_text).bind(point), cfg.model_cards)
     solved = 0
     for comp, j, rhs in systems:
         try:
@@ -418,12 +418,11 @@ def _assert_stamp_matches_per_entry(comp, rng, trials):
 @pytest.mark.parametrize("run", ["two_stage_run.yaml", "folded_cascode_run.yaml"])
 def test_stamp_matches_per_entry_loop_bit_for_bit(run):
     cfg = load_config(DATA / run)
-    base = parse_netlist(cfg.netlist_text)
+    topology = simulator.Topology(parse_netlist(cfg.netlist_text), cfg.model_cards)
     rng = random.Random(17)
     reverse = 0
     for _ in range(25):
-        circuit = substitute_parameters(base, _random_point(cfg.space, rng))
-        comp = simulator._Compiled(circuit, cfg.model_cards)
+        comp = topology.bind(_random_point(cfg.space, rng))
         reverse += _assert_stamp_matches_per_entry(comp, rng, 2)
     assert reverse > 0
 
@@ -440,7 +439,7 @@ def test_stamp_with_grounded_terminals_matches_per_entry_loop():
         "M5 d g d 0 NMOS W=4u L=1u\n"
         "R1 vdd d 10k\nR2 s 0 5k\n"
     )
-    comp = simulator._Compiled(circuit, dict(DEFAULT_MODEL_CARDS))
+    comp = simulator.Topology(circuit, dict(DEFAULT_MODEL_CARDS)).bind({})
     for terminal in (4, 5, 6):  # drain, gate, source index
         assert any(m[terminal] == -1 for m in comp.mosfets)
     assert _assert_stamp_matches_per_entry(comp, random.Random(5), 40) > 0
@@ -448,8 +447,8 @@ def test_stamp_with_grounded_terminals_matches_per_entry_loop():
 
 def test_gmin_shunt_lands_on_node_diagonals_only():
     cfg = load_config(DATA / "two_stage_run.yaml")
-    circuit = substitute_parameters(parse_netlist(cfg.netlist_text), cfg.space.midpoint())
-    comp = simulator._Compiled(circuit, cfg.model_cards)
+    topology = simulator.Topology(parse_netlist(cfg.netlist_text), cfg.model_cards)
+    comp = topology.bind(cfg.space.midpoint())
     rng = random.Random(2)
     x = np.array([rng.uniform(0.0, 1.8) for _ in range(comp.n_unknowns)])
     f0, j0 = comp.residual_and_jacobian(x, comp.b_dc, 0.0)
@@ -473,9 +472,9 @@ def test_newton_clips_node_updates_only(monkeypatch):
     # linear: the first full Newton step from 0 would land on the answer
     # a = 1, c = 0.5, b = -1, d = -1/11 with branch currents near 0.5 and 0.9 A
     monkeypatch.setattr(simulator, "DV_MAX", 0.25)
-    comp = simulator._Compiled(
+    comp = simulator.Topology(
         parse_netlist("V1 a 0 1\nR1 a c 1\nR2 c 0 1\nV2 b 0 -1\nR3 b d 1\nR4 d 0 0.1\n"), {}
-    )
+    ).bind({})
     steps, iterates = [], []
     solve, assemble = comp._solve_linear, comp.residual_and_jacobian
 
