@@ -12,6 +12,7 @@ targets unmet, 1 = any error (bad config, bad netlist, engine failure).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -241,7 +242,9 @@ def cmd_report(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `amsizer` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="amsizer",
         description="Agentic analog-circuit sizing: simulate, optimize, orchestrate.",
@@ -252,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="run-configuration YAML file")
     p_run.add_argument("--output-dir", dest="output_dir", default=None,
                        help="override the config's output directory")
-    p_run.set_defaults(func=cmd_run)
 
     p_sim = sub.add_parser("simulate", help="simulate one netlist once")
     p_sim.add_argument("netlist", help="netlist file")
@@ -270,25 +272,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--step-v", type=_si_number, dest="step_v", help="transient step height")
     p_sim.add_argument("--t-stop", type=_si_number, dest="t_stop", help="transient stop time")
     p_sim.add_argument("--dt", type=_si_number, dest="dt", help="transient time step")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_opt = sub.add_parser("optimize", help="optimizer-only baseline run")
     p_opt.add_argument("config", help="run-configuration YAML file")
     p_opt.add_argument("--algo", required=True, choices=("bo", "de"))
     p_opt.add_argument("--budget", required=True, type=int, help="simulation budget")
-    p_opt.set_defaults(func=cmd_optimize)
 
     p_rep = sub.add_parser("report", help="render a report from a trace file")
     p_rep.add_argument("trace", help="trace.jsonl produced by `run`")
-    p_rep.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so a cmd_* function patched after the first call runs
+    command = {
+        "run": cmd_run, "simulate": cmd_simulate, "optimize": cmd_optimize, "report": cmd_report,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, NetlistError, BindingError, SimulationError,
             LlmError, WorkflowError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

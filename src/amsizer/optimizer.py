@@ -180,7 +180,10 @@ def optimize(
     objective,
     on_evaluation=None,
 ) -> OptimizerResult:
-    """Run the requested algorithm for exactly `req.budget` objective calls."""
+    """Run the requested algorithm for exactly `req.budget` objective calls.
+
+    `on_evaluation(ev)`, if given, runs right after each objective call,
+    before the next one."""
     codec = _Codec(req.space)
     feasible = FeasibleSet(req.space, req.matching)
     run = _BudgetedObjective(objective, req.budget, on_evaluation)
@@ -302,10 +305,6 @@ def _refine_ei(z0, model, f_star, codec, feasible):
 
 
 def _run_de(req, run, codec, feasible, rng, init_pts):
-    if req.budget < 4 and not init_pts:
-        pts = _random_points(rng, run.remaining, codec, feasible)
-        run.eval_batch([codec.to_dict(r) for r in pts])
-        return
     pop_size = max(4, min(DE_MAX_POP, req.budget))
     seeded = sorted(init_pts, key=lambda pf: -pf[1])[:pop_size]
     pop_v = [codec.from_dict(p) for p, _ in seeded]
@@ -313,16 +312,11 @@ def _run_de(req, run, codec, feasible, rng, init_pts):
     n_fill = pop_size - len(pop_v)
     if n_fill > 0:
         fill = _random_points(rng, n_fill, codec, feasible)
-        fill = fill[: max(run.remaining, 0)]
+        # eval_batch stops at the budget, and zip at the last evaluated row
         foms = run.eval_batch([codec.to_dict(r) for r in fill])
         for r, f in zip(fill, foms):
             pop_v.append(r)
             pop_f.append(f)
-    if run.remaining <= 0 or len(pop_v) < 4:
-        if run.remaining > 0:
-            pts = _random_points(rng, run.remaining, codec, feasible)
-            run.eval_batch([codec.to_dict(r) for r in pts])
-        return
     pop_z = codec.encode_matrix(np.array(pop_v))
     pop_f = np.array(pop_f)
     while run.remaining > 0:

@@ -31,7 +31,7 @@ from scipy.linalg import qz
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .mosfet import MosModelCard, classify_region, mos_current
-from .netlist import BindingError, Circuit, DeviceKind, Param
+from .netlist import _POSITIVE_SLOTS, BindingError, Circuit, DeviceKind, Param
 
 # Fixed solver constants, read at call time.
 NEWTON_TOL = 1e-9  # max |KCL residual|, amperes
@@ -183,6 +183,10 @@ class Topology:
                 consts.append(v)
         self._consts = np.array(consts, float)
         self._param_pos = np.array(self._param_pos, int)
+        # every R, C, W and L, placeholder or constant: bind() checks it is
+        # positive, since a bound Circuit arrives here with constants only
+        self._positive = [key for key in self.slots if key[1] in _POSITIVE_SLOTS]
+        self._positive_pos = np.array([self.slots[key] for key in self._positive], int)
 
         # MOSFETs: (device, card, d, g, s) with -1 for ground
         self.mosfets = []
@@ -240,7 +244,8 @@ class Topology:
         # shared read-only by every bound point
         fixed = set(self._param_pos.tolist()).isdisjoint
         self._g0_fixed = self._b_dc_fixed = None
-        if fixed(self._r_pos.tolist()):
+        # (a constant R <= 0 never binds, so no G0 is assembled from it)
+        if fixed(self._r_pos.tolist()) and (self._consts[self._r_pos] > 0.0).all():
             self._g0_fixed = _read_only(self._g0.apply(1.0 / self._consts[self._r_pos]))
         v_rows, v_pos, i_stamps = self._sources["DC"]
         if fixed(v_pos.tolist()) and fixed(i_stamps.which.tolist()):
@@ -267,7 +272,8 @@ class Topology:
 
     def bind(self, point: dict[str, float]) -> _Compiled:
         """The MNA system at `point`'s placeholder values, unchecked
-        against any range (see netlist.bind_parameters)."""
+        against any range (see netlist.bind_parameters).  Raises
+        BindingError unless every R, C, W and L value is positive."""
         values = self._consts.copy()
         if self._param_names:
             try:
@@ -277,6 +283,11 @@ class Topology:
                 raise BindingError(
                     f"circuit has unbound placeholders {unbound}; bind a parameter point first"
                 ) from None
+        positive = values[self._positive_pos] > 0.0  # False for NaN too
+        if not positive.all():
+            dev_id, slot = self._positive[int(np.argmin(positive))]
+            value = values[self.slots[dev_id, slot]]
+            raise BindingError(f"{dev_id}: {slot} = {value:g} must be strictly positive")
         return _Compiled(self, values)
 
 

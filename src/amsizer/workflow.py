@@ -3,11 +3,11 @@
 Phase 1 runs four analysis agents sequentially (explain, matching, DC
 goals, initial sizing).  Phases 2-4 are review/size loops: each cycle
 simulates the current point, asks a reviewer agent, then asks a sizer
-agent for the next point, with exit conditions checked at the top of
-every cycle.  All agents draw on one shared WorkflowState, every count
-flows through one budget ledger mirrored into the trace, and every
-proposed point is forced through matching and bounds before it is ever
-simulated.
+agent for the next point, with the phase's exit condition checked
+before every cycle and once after the last.  All agents draw on one
+shared WorkflowState, every count flows through one budget ledger
+mirrored into the trace, and every proposed point is forced through
+matching and bounds before it is ever simulated.
 
 The loop accounting contract: one loop cycle = one tool simulation plus
 exactly two LLM calls (reviewer, sizer), so ledger arithmetic is exact
@@ -22,7 +22,7 @@ from .agents import AGENTS
 from .context import assemble_context
 from .llm import ChatRequest
 from .metrics import evaluate, extract_metrics
-from .netlist import FeasibleSet, bind_parameters
+from .netlist import BindingError, FeasibleSet, bind_parameters
 from .optimizer import OptimizerRequest, optimize
 from .schema import SchemaContext, SchemaFailure, enforce_schema, schema_hint
 from .simulator import SimulationError, solve_ac, solve_dc, solve_transient
@@ -80,18 +80,17 @@ def detect_stagnation(
 ) -> bool:
     """True iff best-so-far fom improved less than min_improvement over
     the last `window` scored evaluations (False with fewer entries)."""
-    if len(scored_foms) < window:
+    n = len(scored_foms)
+    if n < window:
         return False
-    best_so_far = []
-    best = float("-inf")
-    for f in scored_foms:
-        best = max(best, f)
-        best_so_far.append(best)
-    return best_so_far[-1] - best_so_far[-window] < min_improvement
+    # the best so far now, against the best so far `window` - 1 evaluations ago
+    best_then = max(float("-inf"), *scored_foms[: n - window + 1])
+    return max(float("-inf"), *scored_foms) - best_then < min_improvement
 
 
-def _point_key(point: dict[str, float]) -> tuple:
-    return tuple(sorted(point.items()))
+def _lines(*parts: str) -> str:
+    """The non-empty parts, one per line."""
+    return "\n".join(filter(None, parts))
 
 
 def measure(state: WorkflowState, point: dict[str, float], full: bool = True):
@@ -176,9 +175,9 @@ class Workflow:
         if schema_id == "explanation":
             return payload["explanation"]
         if schema_id == "dc_review":
-            return "\n".join(filter(None, [*payload["discrepancies"], payload["feedback"]]))
+            return _lines(*payload["discrepancies"], payload["feedback"])
         if schema_id in ("specs_review", "advisor_review"):
-            return "\n".join(filter(None, [payload["critique"], payload["feedback"]]))
+            return _lines(payload["critique"], payload["feedback"])
         return payload.get("rationale", "")
 
     def _ask(self, agent_name: str, extra=()) -> dict:
@@ -229,40 +228,54 @@ class Workflow:
             self._trace("rationale", agent_name, {"text": rationale})
         return out.payload
 
-    def _schema_warning(self, agent_name: str, exc: SchemaFailure, consequence: str) -> None:
-        self._note(f"{agent_name}: {exc}; {consequence}")
+    def _ask_or(self, agent_name: str, consequence: str, fallback, extra=()):
+        """`_ask`, or `fallback` once the schema retries are spent, with a
+        warning that ends in `consequence`."""
+        try:
+            return self._ask(agent_name, extra)
+        except SchemaFailure as exc:
+            self._note(f"{agent_name}: {exc}; {consequence}")
+            return fallback
 
-    def _constrain(self, point: dict[str, float], actor: str) -> dict[str, float]:
-        """Project a proposal into the feasible set of matching groups and bounds."""
+    def _adopt(self, point: dict[str, float], actor: str) -> None:
+        """Append `actor`'s proposal, projected into the feasible set of
+        matching groups and bounds, as the current point."""
         projected = self.feasible.project(point)
         changed = [n for n in projected if projected[n] != point.get(n)]
         if changed:
             self._note(f"{actor}: matching/bounds adjusted {', '.join(changed)}")
-        return projected
+        self.state.sizing_history.append(HistoryEntry(point=projected, source=actor))
+
+    def _propose(self, agent_name: str, title: str, feedback: str) -> None:
+        """Sizer turn on a reviewer's `feedback`, shown under `title`; on
+        schema failure the current point is kept."""
+        extra = ((title, feedback or "(none)"),)
+        proposal = self._ask_or(agent_name, "keeping the current point", None, extra)
+        if proposal is not None:
+            self._adopt(proposal["parameters"], agent_name)
+
+    def _targets_met(self) -> bool:
+        best = self.state.best_fom()
+        return best is not None and best >= 1.0
 
     # ------------------------------------------------------------------
-    # simulation tools
+    # simulation tool
 
-    def _entry_for(self, point: dict[str, float], source: str) -> HistoryEntry:
+    def _simulate(self, tool: str) -> HistoryEntry:
+        """Run `tool` ("dc_sim" or "full_sim") on the current point.  Its
+        results go to the last history entry if that has none yet, else
+        to a new engine entry."""
         history = self.state.sizing_history
-        if history:
-            last = history[-1]
-            if last.point == point and last.dc is None and last.report is None:
-                return last
-        entry = HistoryEntry(point=dict(point), source=source)
-        history.append(entry)
-        return entry
-
-    def _simulate(self, point: dict[str, float], full: bool, counter: str) -> HistoryEntry:
-        tool = "full_sim" if full else "dc_sim"
-        entry = self._entry_for(point, source="engine")
-        self._trace(
-            "tool_call", "engine", {"tool": tool, "source": entry.source, "point": dict(point)}
-        )
-        self._bump(counter)
-        payload: dict = {"tool": tool, "source": entry.source, "point": dict(point)}
+        entry = history[-1]
+        if entry.dc is not None or entry.report is not None:
+            entry = HistoryEntry(point=dict(entry.point), source="engine")
+            history.append(entry)
+        payload: dict = {"tool": tool, "source": entry.source, "point": dict(entry.point)}
+        self._trace("tool_call", "engine", dict(payload))
+        full = tool == "full_sim"
+        self._bump("full_sims_llm" if full else "dc_sims")
         try:
-            dc, report, note = measure(self.state, point, full)
+            dc, report, note = measure(self.state, entry.point, full)
             entry.dc = dc
             entry.report = report
             if note:
@@ -275,18 +288,12 @@ class Workflow:
             if report is not None:
                 payload["metrics"] = dict(report.values)
                 payload["fom"] = report.fom
-        except SimulationError as exc:
+        except (BindingError, SimulationError) as exc:
             entry.note = f"simulation failed: {exc}"
             payload["ok"] = False
             payload["error"] = str(exc)
         self._trace("sim_result", "engine", payload)
         return entry
-
-    def _dc_sim(self, point: dict[str, float]) -> HistoryEntry:
-        return self._simulate(point, full=False, counter="dc_sims")
-
-    def _full_sim(self, point: dict[str, float]) -> HistoryEntry:
-        return self._simulate(point, full=True, counter="full_sims_llm")
 
     # ------------------------------------------------------------------
     # phase 1: sequential analysis agents
@@ -294,32 +301,26 @@ class Workflow:
     def run_phase1(self) -> None:
         st = self.state
         st.phase = 1
-        try:
-            st.circuit_explanation = self._ask("circuit_explainer")["explanation"]
-        except SchemaFailure as exc:
-            self._schema_warning("circuit_explainer", exc, "continuing without explanation")
-            st.circuit_explanation = "(explanation unavailable)"
+        explanation = self._ask_or(
+            "circuit_explainer",
+            "continuing without explanation",
+            {"explanation": "(explanation unavailable)"},
+        )
+        st.circuit_explanation = explanation["explanation"]
         if st.matching_groups:
             self._note("matching groups provided by configuration; matching finder skipped")
         else:
-            try:
-                st.matching_groups = list(self._ask("matching_finder")["groups"])
-            except SchemaFailure as exc:
-                self._schema_warning("matching_finder", exc, "continuing with empty matching")
-                st.matching_groups = []
+            found = self._ask_or("matching_finder", "continuing with empty matching", {"groups": []})
+            st.matching_groups = list(found["groups"])
             self.feasible = FeasibleSet(st.space, st.matching_groups)
-        try:
-            st.dc_goals = dict(self._ask("dc_goal_setter")["goals"])
-        except SchemaFailure as exc:
-            self._schema_warning("dc_goal_setter", exc, "continuing without DC goals")
-            st.dc_goals = {}
-        try:
-            proposal = self._ask("initial_designer")
-            point = self._constrain(proposal["parameters"], "initial_designer")
-        except SchemaFailure as exc:
-            self._schema_warning("initial_designer", exc, "falling back to the space midpoint")
-            point = self._constrain(st.space.midpoint(), "initial_designer")
-        st.sizing_history.append(HistoryEntry(point=point, source="initial_designer"))
+        goals = self._ask_or("dc_goal_setter", "continuing without DC goals", {"goals": {}})
+        st.dc_goals = dict(goals["goals"])
+        proposal = self._ask_or(
+            "initial_designer",
+            "falling back to the space midpoint",
+            {"parameters": st.space.midpoint()},
+        )
+        self._adopt(proposal["parameters"], "initial_designer")
 
     # ------------------------------------------------------------------
     # phase 2: DC tuning loop
@@ -330,85 +331,56 @@ class Workflow:
         regions = {dev: op["region"] for dev, op in entry.dc.transistor_ops.items()}
         return all(regions.get(dev) == goal for dev, goal in self.state.dc_goals.items())
 
-    def _propose(self, agent_name: str, extra) -> None:
-        """Sizer turn: on schema failure the current point is kept."""
-        try:
-            proposal = self._ask(agent_name, extra=extra)
-            point = self._constrain(proposal["parameters"], agent_name)
-        except SchemaFailure as exc:
-            self._schema_warning(agent_name, exc, "keeping the current point")
-            return
-        self.state.sizing_history.append(HistoryEntry(point=point, source=agent_name))
-
     def run_phase2(self) -> None:
-        st = self.state
-        st.phase = 2
+        max_cycles = self.caps.phase2_max_cycles
+        self.state.phase = 2
         last_sim: HistoryEntry | None = None
-        for _cycle in range(self.caps.phase2_max_cycles):
+        for cycle in range(max_cycles + 1):
             if self._dc_goals_met(last_sim):
                 self._note("all DC operating-region goals met; leaving phase 2")
                 return
-            last_sim = self._dc_sim(st.current_point)
-            try:
-                review = self._ask("dc_reviewer")
-            except SchemaFailure as exc:
-                self._schema_warning("dc_reviewer", exc, "using an empty review")
-                review = {"goals_met": False, "discrepancies": (), "feedback": ""}
-            feedback = "\n".join(
-                filter(
-                    None,
-                    [
-                        *(f"- {d}" for d in review["discrepancies"]),
-                        review["feedback"],
-                    ],
-                )
+            if cycle == max_cycles:
+                self._note("phase 2 cycle cap reached; continuing with the current point")
+                return
+            last_sim = self._simulate("dc_sim")
+            review = self._ask_or(
+                "dc_reviewer",
+                "using an empty review",
+                {"goals_met": False, "discrepancies": (), "feedback": ""},
             )
-            self._propose("dc_sizer", extra=(("DC reviewer feedback", feedback or "(none)"),))
-        if self._dc_goals_met(last_sim):
-            self._note("all DC operating-region goals met; leaving phase 2")
-        else:
-            self._note("phase 2 cycle cap reached; continuing with the current point")
+            feedback = _lines(*(f"- {d}" for d in review["discrepancies"]), review["feedback"])
+            self._propose("dc_sizer", "DC reviewer feedback", feedback)
 
     # ------------------------------------------------------------------
     # phase 3: reasoning-driven spec refinement loop
 
-    def _best_fom(self) -> float:
-        best = self.state.best_fom()
-        return best if best is not None else 0.0
-
     def run_phase3(self) -> None:
         max_full_sims = self.caps.phase3_max_full_sims
-        st = self.state
-        st.phase = 3
+        self.state.phase = 3
         full_sims_here = 0
         next_tool = "full_sim"
         # dc_sim cycles spend no full-sim budget, so bound total cycles too
-        for _cycle in range(2 * max_full_sims):
-            if self._best_fom() >= 1.0:
+        max_cycles = 2 * max_full_sims
+        for cycle in range(max_cycles + 1):
+            if self._targets_met():
                 self._note("all hard targets met; leaving phase 3")
+                return
+            if cycle == max_cycles:
+                self._note("phase 3 cycle cap reached")
                 return
             if full_sims_here >= max_full_sims:
                 self._note("phase 3 full-simulation cap reached")
                 return
-            if next_tool == "full_sim":
-                self._full_sim(st.current_point)
-                full_sims_here += 1
-            else:
-                self._dc_sim(st.current_point)
-            try:
-                review = self._ask("specs_reviewer")
-            except SchemaFailure as exc:
-                self._schema_warning("specs_reviewer", exc, "using an empty review")
-                review = {"critique": "", "feedback": "", "next_tool": "full_sim"}
-            next_tool = review["next_tool"]
-            feedback = "\n".join(filter(None, [review["critique"], review["feedback"]]))
-            self._propose(
-                "reasoning_sizer", extra=(("Specs reviewer feedback", feedback or "(none)"),)
+            self._simulate(next_tool)
+            full_sims_here += next_tool == "full_sim"
+            review = self._ask_or(
+                "specs_reviewer",
+                "using an empty review",
+                {"critique": "", "feedback": "", "next_tool": "full_sim"},
             )
-        if self._best_fom() >= 1.0:
-            self._note("all hard targets met; leaving phase 3")
-        else:
-            self._note("phase 3 cycle cap reached")
+            next_tool = review["next_tool"]
+            feedback = _lines(review["critique"], review["feedback"])
+            self._propose("reasoning_sizer", "Specs reviewer feedback", feedback)
 
     # ------------------------------------------------------------------
     # phase 4: advised refinement with optimizer escalation
@@ -432,12 +404,14 @@ class Workflow:
             "equipped_sizer",
             {"tool": "optimizer", "algorithm": algorithm, "budget": budget},
         )
-        measured: dict[tuple, tuple] = {}
+        # on_evaluation runs right after each objective call, so `latest`
+        # holds that call's measurement whenever it succeeded
+        latest = None
 
         def objective(point: dict[str, float]) -> float:
-            dc, report, note = measure(st, point)
-            measured[_point_key(point)] = (dc, report, note)
-            return report.fom
+            nonlocal latest
+            latest = measure(st, point)
+            return latest[1].fom
 
         def on_evaluation(ev) -> None:
             self._bump("full_sims_opt")
@@ -451,7 +425,7 @@ class Workflow:
                 "ok": ev.error is None,
             }
             if ev.error is None:
-                entry.dc, entry.report, note = measured[_point_key(ev.point)]
+                entry.dc, entry.report, note = latest
                 payload["metrics"] = dict(entry.report.values)
                 payload["fom"] = entry.report.fom
                 if note:
@@ -480,58 +454,50 @@ class Workflow:
         st = self.state
         st.phase = 4
         next_tool = "full_sim"
-        for _cycle in range(caps.phase4_max_cycles):
-            if self._best_fom() >= 1.0:
+        for cycle in range(caps.phase4_max_cycles + 1):
+            if self._targets_met():
                 self._note("all hard targets met; leaving phase 4")
                 return
-            if next_tool == "full_sim":
-                self._full_sim(st.current_point)
-            else:
-                self._dc_sim(st.current_point)
+            if cycle == caps.phase4_max_cycles:
+                self._note("phase 4 cycle cap reached; returning best point so far")
+                return
+            self._simulate(next_tool)
             stagnating = detect_stagnation(st.scored_foms())
             signal = (
                 f"Deterministic check over the last {STAGNATION_WINDOW} scored evaluations: "
                 f"{'stagnating' if stagnating else 'still improving'} "
                 f"(threshold {STAGNATION_MIN_IMPROVEMENT})."
             )
-            try:
-                review = self._ask("advisor_reviewer", extra=(("Stagnation signal", signal),))
-            except SchemaFailure as exc:
-                self._schema_warning("advisor_reviewer", exc, "using an empty review")
-                review = {
-                    "critique": "",
-                    "feedback": "",
-                    "stagnation": stagnating,
-                    "advise_optimizer": False,
-                    "next_tool": "full_sim",
-                }
+            review = self._ask_or(
+                "advisor_reviewer",
+                "using an empty review",
+                {"critique": "", "feedback": "", "stagnation": stagnating,
+                 "advise_optimizer": False, "next_tool": "full_sim"},
+                extra=(("Stagnation signal", signal),),
+            )
             next_tool = review["next_tool"]
             calls_left = caps.phase4_max_optimizer_calls - st.budgets.opt_calls
-            advisor_section = "\n".join(
-                filter(
-                    None,
-                    [
-                        review["critique"],
-                        review["feedback"],
-                        f"Advisor stagnation verdict: {str(review['stagnation']).lower()}.",
-                        f"Advisor recommends optimizer: "
-                        f"{str(review['advise_optimizer']).lower()}.",
-                        f"Optimizer calls remaining: {max(calls_left, 0)}; "
-                        f"per-call budget cap: {caps.phase4_budget_cap}.",
-                    ],
-                )
+            advisor_section = _lines(
+                review["critique"],
+                review["feedback"],
+                f"Advisor stagnation verdict: {str(review['stagnation']).lower()}.",
+                f"Advisor recommends optimizer: {str(review['advise_optimizer']).lower()}.",
+                f"Optimizer calls remaining: {max(calls_left, 0)}; "
+                f"per-call budget cap: {caps.phase4_budget_cap}.",
             )
-            try:
-                decision = self._ask(
-                    "equipped_sizer", extra=(("Advisor assessment", advisor_section),)
-                )
-            except SchemaFailure as exc:
-                self._schema_warning("equipped_sizer", exc, "keeping the current point")
+            decision = self._ask_or(
+                "equipped_sizer",
+                "keeping the current point",
+                None,
+                extra=(("Advisor assessment", advisor_section),),
+            )
+            if decision is None:
                 continue
-            if decision["action"] == "optimize":
-                if calls_left <= 0:
-                    self._note("optimizer call cap reached; keeping the current point")
-                    continue
+            if decision["action"] == "propose":
+                self._adopt(decision["parameters"], "equipped_sizer")
+            elif calls_left <= 0:
+                self._note("optimizer call cap reached; keeping the current point")
+            else:
                 budget = min(decision["optimizer_budget"], caps.phase4_budget_cap)
                 if budget < decision["optimizer_budget"]:
                     self._note(
@@ -539,13 +505,6 @@ class Workflow:
                         f"to {budget}"
                     )
                 self._run_optimizer(budget, decision["algorithm"])
-            else:
-                point = self._constrain(decision["parameters"], "equipped_sizer")
-                st.sizing_history.append(HistoryEntry(point=point, source="equipped_sizer"))
-        if self._best_fom() >= 1.0:
-            self._note("all hard targets met; leaving phase 4")
-        else:
-            self._note("phase 4 cycle cap reached; returning best point so far")
 
     # ------------------------------------------------------------------
 
@@ -553,18 +512,17 @@ class Workflow:
         st = self.state
         self.run_phase1()
         self.run_phase2()
-        if self._best_fom() < 1.0:
+        if not self._targets_met():
             self.run_phase3()
-        if self._best_fom() < 1.0:
+        if not self._targets_met():
             self.run_phase4()
         best = st.best_entry()
         if best is not None:
             best_point, best_fom = dict(best.point), best.fom
         else:
             best_point, best_fom = st.current_point, None
-        status = "success" if best_fom is not None and best_fom >= 1.0 else "incomplete"
         return RunResult(
-            status=status,
+            status="success" if self._targets_met() else "incomplete",
             best_point=best_point,
             best_fom=best_fom,
             state=st,

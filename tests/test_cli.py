@@ -136,6 +136,28 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == f"error: --input {source!r} is not an independent source\n"
 
+    @pytest.mark.parametrize("param, message", [
+        ("RL=0", "R1: R = 0 must be strictly positive"),
+        ("CL=-1p", "C1: C = -1e-12 must be strictly positive"),
+        ("W1=-10u", "M1: W = -1e-05 must be strictly positive"),
+        ("L1=0", "M1: L = 0 must be strictly positive"),
+    ])
+    def test_non_positive_value_is_an_error(self, tmp_path, capsys, param, message):
+        netlist = tmp_path / "amp.sp"
+        netlist.write_text(
+            "Amp test\nVDD vdd 0 1.8\nVIN in 0 DC 0.7 AC 1\n"
+            "M1 out in 0 0 NMOS W={W1} L={L1}\nR1 vdd out {RL}\nC1 out 0 {CL}\n"
+        )
+        point = {"W1": "10u", "L1": "1u", "RL": "1k", "CL": "1p"}
+        point.update([param.split("=")])
+        args = [arg for name, value in point.items() for arg in ("--param", f"{name}={value}")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "simulate", str(netlist), *args, "--ac", "--input", "VIN", "--output", "out",
+            )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_readme_transient_command_takes_si_suffixes(self, tmp_path, capsys):
         netlist = tmp_path / "my_amp.sp"
         netlist.write_text(
@@ -377,6 +399,15 @@ class TestReport:
 
 
 class TestEntryPoint:
+    def test_command_patched_after_a_first_call_runs(self, tmp_path, capsys, monkeypatch):
+        netlist = tmp_path / "div.sp"
+        netlist.write_text(DIVIDER)
+        assert run_cli(capsys, "simulate", str(netlist))[0] == 0
+        seen = []
+        monkeypatch.setattr("amsizer.cli.cmd_run", lambda args: seen.append(args.config) or 7)
+        assert main(["run", "patched.yaml"]) == 7
+        assert seen == ["patched.yaml"]
+
     def test_module_invocation(self, tmp_path):
         netlist = tmp_path / "div.sp"
         netlist.write_text(DIVIDER)

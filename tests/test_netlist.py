@@ -20,6 +20,8 @@ from amsizer.netlist import (
     serialize_netlist,
     validate_matching_groups,
 )
+from amsizer.mosfet import DEFAULT_MODEL_CARDS
+from amsizer.simulator import Topology, solve_dc
 
 
 def test_parse_resistor_basic():
@@ -179,6 +181,41 @@ def test_bind_out_of_range():
     with pytest.raises(BindingError) as exc:
         bind_parameters(c, space, {"W1": 200e-6, "L1": 1e-6})
     assert "W1" in str(exc.value)
+
+
+ALL_SLOTS = """Every positive slot kind as a placeholder
+VDD vdd 0 DC 1.8
+VIN in 0 DC 0.7 AC 1
+M1 out in 0 0 NMOS W={W1} L={L1}
+R1 vdd out {RL}
+C1 out 0 {CL}
+.end
+"""
+ALL_SLOTS_OK = {"W1": 1e-5, "L1": 1e-6, "RL": 1e3, "CL": 1e-12}
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("RL", 0.0, "R1: R = 0 must be strictly positive"),
+    ("RL", -1e3, "R1: R = -1000 must be strictly positive"),
+    ("CL", -1e-12, "C1: C = -1e-12 must be strictly positive"),
+    ("W1", -1e-5, "M1: W = -1e-05 must be strictly positive"),
+    ("L1", 0.0, "M1: L = 0 must be strictly positive"),
+])
+def test_bind_rejects_a_non_positive_value(name, value, message):
+    c = parse_netlist(ALL_SLOTS)
+    space = _space(W1=(-1.0, 1.0), L1=(-1.0, 1.0), RL=(-1e6, 1e6), CL=(-1.0, 1.0))
+    point = {**ALL_SLOTS_OK, name: value}
+    with pytest.raises(BindingError, match=f"^{message}$"):
+        bind_parameters(Topology(c, DEFAULT_MODEL_CARDS), space, point)
+    # a bound Circuit carries the value as a constant, checked alike
+    with pytest.raises(BindingError, match=f"^{message}$"):
+        solve_dc(c.bind(point), DEFAULT_MODEL_CARDS)
+
+
+def test_bind_rejects_a_nan_value():
+    c = parse_netlist(ALL_SLOTS).bind({**ALL_SLOTS_OK, "CL": math.nan})
+    with pytest.raises(BindingError, match="^C1: C = nan must be strictly positive$"):
+        Topology(c, DEFAULT_MODEL_CARDS).bind({})
 
 
 def test_bind_space_param_not_in_circuit():

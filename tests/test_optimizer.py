@@ -50,6 +50,25 @@ def test_budget_one_with_better_initial_point():
     assert res.best_point == {"x0": 0.5, "x1": 0.5}
 
 
+@pytest.mark.parametrize("n_init", [0, 1])
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_de_below_a_population_evaluates_seeded_draws(budget, n_init):
+    # the random fill of a population of four is cut at the budget: the
+    # evaluated rows are the seeded generator's first draws, in order
+    space = _space(3)
+    init = (({"x0": 0.5, "x1": 0.5, "x2": 0.5}, 2.0),)[:n_init]
+    req = OptimizerRequest(
+        space=space, initial_points=init, budget=budget, algorithm="de", seed=5
+    )
+    res = optimize(req, _quadratic([0.3, 0.6, 0.2]))
+    codec, feasible = _Codec(space), FeasibleSet(space, ())
+    draws = np.random.default_rng(5).random((budget, 3))
+    expected = feasible.project_matrix(codec.decode_matrix(draws))
+    assert [ev.point for ev in res.evaluations] == [codec.to_dict(r) for r in expected]
+    assert res.budget_used == budget
+    assert res.best_fom == (2.0 if n_init else max(ev.fom for ev in res.evaluations))
+
+
 @pytest.mark.parametrize("algo", ["bo", "de"])
 def test_budget_honesty(algo):
     space = _space(3)

@@ -481,7 +481,9 @@ class TestPhase2:
         Workflow(state, ScriptedBackend(entries), trace, caps=caps).run_phase2()
         assert state.budgets.dc_sims == 2
         assert state.budgets.llm_calls == 4
-        assert any("cycle cap reached" in w for w in warnings_of(trace))
+        assert warnings_of(trace)[-1] == (
+            "phase 2 cycle cap reached; continuing with the current point"
+        )
 
     def test_failed_simulation_reported_as_data(self):
         netlist = """Overdetermined bias fixture
@@ -516,6 +518,23 @@ R1 a 0 1k
         assert "simulation failed" in reviewer_input
 
 
+    def test_non_positive_value_reported_as_data(self):
+        # a linear range may reach 0; binding rejects the point, and the
+        # run goes on with the failure recorded
+        state = cs_state(goals={"M1": "saturation"}, point={"W1": 1e-5, "RL": 0.0})
+        state.space = ParameterSpace(entries=(
+            SpaceEntry("W1", 1e-6, 1e-4, "m", "log"),
+            SpaceEntry("RL", 0.0, 1e6, "ohm", "linear"),
+        ))
+        entries = [("dc_reviewer", dc_review(False)), ("dc_sizer", proposal(CS_SAT))]
+        trace = TraceLog()
+        caps = PhaseCaps(phase2_max_cycles=1)
+        Workflow(state, ScriptedBackend(entries), trace, caps=caps).run_phase2()
+        (result,) = [e.payload for e in trace.events if e.kind == "sim_result"]
+        assert (result["ok"], result["error"]) == (False, "R1: R = 0 must be strictly positive")
+        assert state.sizing_history[0].note == "simulation failed: R1: R = 0 must be strictly positive"
+
+
 class TestPhase3:
     def test_reviewer_elects_dc_sim(self):
         state = cs_state(specs=UNREACHABLE, point=CS_SAT)
@@ -534,6 +553,24 @@ class TestPhase3:
         assert state.budgets.dc_sims == 1
         assert state.budgets.llm_calls == 6
         assert any("full-simulation cap reached" in w for w in warnings_of(trace))
+
+    def test_cycle_cap_reached(self):
+        # 2 x 2 cycles; the last one spends the second full simulation, and
+        # the note still names the cycle cap
+        state = cs_state(specs=UNREACHABLE, point=CS_SAT)
+        entries = []
+        for next_tool in ("dc_sim", "dc_sim", "full_sim", "dc_sim"):
+            entries += [
+                ("specs_reviewer", specs_review(next_tool=next_tool)),
+                ("reasoning_sizer", proposal(CS_TRIODE)),
+            ]
+        trace = TraceLog()
+        caps = PhaseCaps(phase3_max_full_sims=2)
+        Workflow(state, ScriptedBackend(entries), trace, caps=caps).run_phase3()
+        assert state.budgets.full_sims_llm == 2
+        assert state.budgets.dc_sims == 2
+        assert state.budgets.llm_calls == 8
+        assert warnings_of(trace)[-1] == "phase 3 cycle cap reached"
 
     def test_exits_when_target_met(self):
         state = cs_state(specs=EASY, point=CS_SAT)
@@ -709,6 +746,110 @@ class TestPhase4:
         Workflow(state, ScriptedBackend([]), trace).run_phase4()
         assert state.budgets.llm_calls == 0
         assert any("leaving phase 4" in w for w in warnings_of(trace))
+
+
+def section(trace, agent: str, title: str) -> str:
+    """The body of `agent`'s extra prompt section `title`."""
+    content = next(
+        e.payload["content"] for e in trace.events
+        if e.kind == "agent_input" and e.actor == agent
+    )
+    return content.split(f"## {title}\n\n", 1)[1].split("\n\n## Task", 1)[0]
+
+
+def history_sources(state, trace):
+    return [e.source for e in state.sizing_history]
+
+
+class TestSchemaFallbacks:
+    """What each agent falls back to once its three attempts are spent."""
+
+    PHASES = {
+        1: ("circuit_explainer", "matching_finder", "dc_goal_setter", "initial_designer"),
+        2: ("dc_reviewer", "dc_sizer"),
+        3: ("specs_reviewer", "reasoning_sizer"),
+        4: ("advisor_reviewer", "equipped_sizer"),
+    }
+    VALID = {
+        "circuit_explainer": json.dumps({"explanation": "one stage"}),
+        "matching_finder": json.dumps({"groups": [], "rationale": "nothing matches"}),
+        "dc_goal_setter": json.dumps({"goals": {"M1": "saturation"}, "rationale": "gain"}),
+        "initial_designer": proposal(CS_SAT),
+        "dc_reviewer": dc_review(False),
+        "dc_sizer": proposal(CS_SAT),
+        "specs_reviewer": specs_review(),
+        "reasoning_sizer": proposal(CS_SAT),
+        "advisor_reviewer": advisor_review(advise=False),
+        "equipped_sizer": json.dumps({
+            "action": "propose", "parameters": CS_SAT, "rationale": "try",
+        }),
+    }
+    # agent -> (schema, warning consequence, observed fallback, expected)
+    FALLBACKS = {
+        "circuit_explainer": (
+            "explanation", "continuing without explanation",
+            lambda st, tr: st.circuit_explanation, "(explanation unavailable)",
+        ),
+        "matching_finder": (
+            "matching_groups", "continuing with empty matching",
+            lambda st, tr: st.matching_groups, [],
+        ),
+        "dc_goal_setter": (
+            "dc_goals", "continuing without DC goals", lambda st, tr: st.dc_goals, {},
+        ),
+        "initial_designer": (
+            "sizing_proposal", "falling back to the space midpoint",
+            lambda st, tr: st.sizing_history[-1].point, cs_space().midpoint(),
+        ),
+        "dc_reviewer": (
+            "dc_review", "using an empty review",
+            lambda st, tr: section(tr, "dc_sizer", "DC reviewer feedback"), "(none)",
+        ),
+        "dc_sizer": (
+            "sizing_proposal", "keeping the current point",
+            history_sources, ["initial_designer"],
+        ),
+        "specs_reviewer": (
+            "specs_review", "using an empty review",
+            lambda st, tr: section(tr, "reasoning_sizer", "Specs reviewer feedback"), "(none)",
+        ),
+        "reasoning_sizer": (
+            "sizing_proposal", "keeping the current point",
+            history_sources, ["initial_designer"],
+        ),
+        "advisor_reviewer": (
+            "advisor_review", "using an empty review",
+            lambda st, tr: section(tr, "equipped_sizer", "Advisor assessment"),
+            "Advisor stagnation verdict: false.\n"
+            "Advisor recommends optimizer: false.\n"
+            "Optimizer calls remaining: 3; per-call budget cap: 300.",
+        ),
+        "equipped_sizer": (
+            "equipped_sizing", "keeping the current point",
+            history_sources, ["initial_designer"],
+        ),
+    }
+
+    @pytest.mark.parametrize("agent", list(FALLBACKS))
+    def test_spent_retries_fall_back(self, agent):
+        phase = next(p for p, agents in self.PHASES.items() if agent in agents)
+        entries = []
+        for name in self.PHASES[phase]:
+            entries += [(name, "not json")] * 3 if name == agent else [(name, self.VALID[name])]
+        # goals preset so the DC goal setter's fallback shows; unmet at CS_TRIODE
+        state = cs_state(goals={"M1": "saturation"}, point=None if phase == 1 else CS_TRIODE)
+        trace = TraceLog()
+        caps = PhaseCaps(phase2_max_cycles=1, phase3_max_full_sims=1, phase4_max_cycles=1)
+        workflow = Workflow(state, ScriptedBackend(entries), trace, caps=caps)
+        getattr(workflow, f"run_phase{phase}")()
+        schema, consequence, observe, expected = self.FALLBACKS[agent]
+        assert (
+            f"{agent}: schema {schema!r} not satisfied after 3 attempt(s); "
+            f"last violation: no JSON object found in the response; {consequence}"
+        ) in warnings_of(trace)
+        assert observe(state, trace) == expected
+        assert state.budgets.llm_calls == len(entries)
+        assert [e.kind for e in trace.events].count("schema_retry") == 2
 
 
 class TestStagnation:
