@@ -17,9 +17,11 @@ from .llm import HttpBackend, LlmError, ScriptedBackend, load_scenario, load_yam
 from .metrics import Spec, validate_specs
 from .mosfet import DEFAULT_MODEL_CARDS, MosModelCard
 from .netlist import (
+    _POSITIVE_SLOTS,
     DeviceKind,
     MatchingGroup,
     NetlistError,
+    Param,
     ParameterSpace,
     SpaceEntry,
     parse_netlist,
@@ -337,6 +339,13 @@ def load_config(path: str) -> RunConfig:
     unused = sorted(set(space.names) - set(circuit.params))
     if unused:
         raise _fail("parameters", f"no netlist placeholder named: {', '.join(unused)}")
+    for d in circuit.devices:
+        for slot, v in d.values.items():
+            if slot in _POSITIVE_SLOTS and isinstance(v, Param) and space.entry(v.name).lo <= 0:
+                raise _fail("parameters", (
+                    f"parameter {v.name!r} sets {slot} of device {d.id}, which must be "
+                    f"strictly positive, but its range starts at lo = {space.entry(v.name).lo:g}"
+                ))
 
     if "specs" not in raw:
         raise _fail("specs", "required field is missing")

@@ -46,31 +46,39 @@ DEFAULT_MODEL_CARDS = {
 }
 
 
-def smooth_overdrive(x: float) -> tuple[float, float]:
-    """max(x, 0) with a C1 quadratic blend of half-width OV_BLEND.
-
-    Returns (vov, dvov/dx).
-    """
+def mos_eval(
+    pol: int, beta: float, vth: float, lam: float, vg: float, vd: float, vs: float
+) -> tuple[float, float, float]:
+    """mos_current on precomputed device constants: polarity (+1 NMOS,
+    -1 PMOS) and beta = kprime * W / L.  A simulator calls this once per
+    device per Newton iterate, so it is one flat function."""
+    u = pol * (vg - vs)
+    wv = pol * (vd - vs)
+    if wv >= 0.0:
+        vgs, vds = u, wv
+    else:
+        # reverse conduction: swap source and drain
+        vgs, vds = u - wv, -wv
+    # overdrive max(x, 0) with a C1 quadratic blend of half-width OV_BLEND
+    x = vgs - vth
     e = OV_BLEND
     if x <= -e:
-        return 0.0, 0.0
-    if x >= e:
-        return x, 1.0
-    t = x + e
-    return t * t / (4.0 * e), t / (2.0 * e)
-
-
-def _forward(vgs: float, vds: float, vth: float, beta: float, lam: float):
-    """Square-law current for vds >= 0; returns (i, di/dvgs, di/dvds)."""
-    vov, dvov = smooth_overdrive(vgs - vth)
+        vov, dvov = 0.0, 0.0
+    elif x >= e:
+        vov, dvov = x, 1.0
+    else:
+        t = x + e
+        vov, dvov = t * t / (4.0 * e), t / (2.0 * e)
     clm = 1.0 + lam * vds
     if vds >= vov:
         i0 = 0.5 * beta * vov * vov
-        return i0 * clm, beta * vov * dvov * clm, i0 * lam
-    i0 = beta * (vov * vds - 0.5 * vds * vds)
-    di_dvgs = beta * dvov * vds * clm
-    di_dvds = beta * (vov - vds) * clm + i0 * lam
-    return i0 * clm, di_dvgs, di_dvds
+        i, fu, fw = i0 * clm, beta * vov * dvov * clm, i0 * lam
+    else:
+        i0 = beta * (vov * vds - 0.5 * vds * vds)
+        i, fu, fw = i0 * clm, beta * dvov * vds * clm, beta * (vov - vds) * clm + i0 * lam
+    if wv >= 0.0:
+        return pol * i, fu, fw
+    return -pol * i, -fu, fu + fw
 
 
 def mos_current(
@@ -86,16 +94,7 @@ def mos_current(
         dI_d/dvg = did_dvgs_n,  dI_d/dvd = did_dvds_n,
         dI_d/dvs = -(did_dvgs_n + did_dvds_n)
     """
-    pol = card.polarity
-    beta = card.kprime * w / l
-    u = pol * (vg - vs)
-    wv = pol * (vd - vs)
-    if wv >= 0.0:
-        i, fu, fw = _forward(u, wv, card.vth, beta, card.lam)
-        return pol * i, fu, fw
-    # reverse conduction: swap source and drain
-    i, fu, fw = _forward(u - wv, -wv, card.vth, beta, card.lam)
-    return -pol * i, -fu, fu + fw
+    return mos_eval(card.polarity, card.kprime * w / l, card.vth, card.lam, vg, vd, vs)
 
 
 def classify_region(vgs: float, vds: float, vth_eff: float) -> str:

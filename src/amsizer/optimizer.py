@@ -138,6 +138,13 @@ class _BudgetedObjective:
         return foms
 
 
+def _ei_terms(gain: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The closed-form EI for sigma > 0, before clipping at 0."""
+    z = gain / sigma
+    # the normal pdf in scipy.stats.norm.pdf's operations keeps EI bit-identical to it
+    return gain * ndtr(z) + sigma * (np.exp(-z**2 / 2.0) / _SQRT_2PI)
+
+
 def expected_improvement(
     mean: np.ndarray, var: np.ndarray, best_so_far: float
 ) -> np.ndarray:
@@ -146,10 +153,10 @@ def expected_improvement(
     sigma = np.sqrt(np.maximum(np.asarray(var, dtype=float), 0.0))
     gain = mean - best_so_far
     pos = sigma > 0.0
+    if pos.all():  # the usual case: no boolean masks to pay for
+        return np.maximum(_ei_terms(gain, sigma), 0.0)
     ei = np.where(pos, 0.0, np.maximum(gain, 0.0))
-    z = gain[pos] / sigma[pos]
-    # the normal pdf in scipy.stats.norm.pdf's operations keeps EI bit-identical to it
-    ei[pos] = gain[pos] * ndtr(z) + sigma[pos] * (np.exp(-z**2 / 2.0) / _SQRT_2PI)
+    ei[pos] = _ei_terms(gain[pos], sigma[pos])
     return np.maximum(ei, 0.0)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import qz
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .mosfet import MosModelCard, classify_region, mos_current
+from .mosfet import MosModelCard, classify_region, mos_eval
 from .netlist import _POSITIVE_SLOTS, BindingError, Circuit, DeviceKind, Param
 
 # Fixed solver constants, read at call time.
@@ -293,7 +293,13 @@ class Topology:
 
 class _Compiled:
     """A Topology bound to one point's values: its MNA matrices and the
-    Newton solver over them."""
+    Newton solver over them.
+
+    The MOSFET values and the assembled residual and Jacobian are kept
+    for the last iterate (under its exact bytes), since the DC ladder,
+    the AC linearisation and each transient step's first Newton iterate
+    start where the previous solve stopped.  Only bit-identical inputs
+    reuse a result, so every output is what evaluating again gives."""
 
     def __init__(self, topology: Topology, values: np.ndarray):
         t = self.topology = topology
@@ -308,6 +314,12 @@ class _Compiled:
             (dev, card, wk, lk, di, gi, si)
             for (dev, card, di, gi, si), wk, lk in zip(t.mosfets, w.tolist(), l.tolist())
         ]
+        # mos_eval's device constants: (polarity, beta, vth, lambda, d, g, s)
+        self._mos = [
+            (card.polarity, card.kprime * wk / lk, card.vth, card.lam, di, gi, si)
+            for _, card, wk, lk, di, gi, si in self.mosfets
+        ]
+        self._device_key = self._assembly_key = None
         self.g0 = t._g0_fixed if t._g0_fixed is not None else t._g0.apply(1.0 / values[t._r_pos])
         # DC right-hand side (F = G x - b + mos terms)
         self.b_dc = t._b_dc_fixed if t._b_dc_fixed is not None else self.source_vector("DC")
@@ -329,26 +341,39 @@ class _Compiled:
     def residual_and_jacobian(
         self, x: np.ndarray, b: np.ndarray, gmin: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        j = self.g0.copy()
-        if gmin > 0.0:
-            j.reshape(-1)[self._diag] += gmin
-        f = j @ x - b
-        self.stamp_mosfets(x, j, f)
-        return f, j
+        """Read-only KCL residual and Jacobian at x, before any
+        backward-Euler term."""
+        key = (x.tobytes(), b.tobytes(), gmin)
+        if key != self._assembly_key:
+            j = self.g0.copy()
+            if gmin > 0.0:
+                j.reshape(-1)[self._diag] += gmin
+            f = j @ x - b
+            self.stamp_mosfets(x, j, f)
+            self._assembly_key, self._assembly = key, (_read_only(f), _read_only(j))
+        return self._assembly
+
+    def _device_values(self, x: np.ndarray) -> np.ndarray:
+        """Read-only (i_d, -i_d, gm, gds, -(gm + gds), -gm, -gds, gm + gds)
+        of every MOSFET at x, eight entries per device in order."""
+        key = x.tobytes()
+        if key != self._device_key:
+            v = x.tolist()
+            v.append(0.0)  # index -1 reads ground
+            vals = []
+            for pol, beta, vth, lam, di, gi, si in self._mos:
+                i_d, gm, gds = mos_eval(pol, beta, vth, lam, v[gi], v[di], v[si])
+                gs = gm + gds
+                vals += (i_d, -i_d, gm, gds, -gs, -gm, -gds, gs)
+            self._device_key, self._device_vals = key, _read_only(np.array(vals))
+        return self._device_vals
 
     def stamp_mosfets(self, x: np.ndarray, mat: np.ndarray, f: np.ndarray | None = None):
         """Add every MOSFET's conductances (gm, gds) at x to the C-contiguous
         `mat` and, when `f` is given, its drain current to the KCL residual.
         `ufunc.at` adds in index order, so each entry gets the same sum as
         one `+=` per stamp entry."""
-        v = x.tolist()
-        v.append(0.0)  # index -1 reads ground
-        vals = []
-        for _, card, w, l, di, gi, si in self.mosfets:
-            i_d, gm, gds = mos_current(card, w, l, v[gi], v[di], v[si])
-            gs = gm + gds
-            vals += (i_d, -i_d, gm, gds, -gs, -gm, -gds, gs)
-        vals = np.array(vals)
+        vals = self._device_values(x)
         np.add.at(mat.reshape(-1), self._jac_pos, vals[self._jac_val])
         if f is not None:
             np.add.at(f, self._res_rows, vals[self._res_val])
@@ -387,8 +412,8 @@ class _Compiled:
         for it in range(max_iters):
             f, j = self.residual_and_jacobian(x, b, gmin)
             if c_over_dt is not None:
-                f += c_over_dt @ (x - x_prev)
-                j += c_over_dt
+                f = f + c_over_dt @ (x - x_prev)
+                j = j + c_over_dt
             residual = float(np.abs(f).max())
             if residual <= NEWTON_TOL:
                 return x, it, residual
@@ -482,7 +507,7 @@ def solve_dc(circuit: Circuit | _Compiled, models: dict[str, MosModelCard]) -> D
 
 def _finish_dc(comp: _Compiled, x: np.ndarray, iters: int, residual: float) -> DcSolution:
     volts = x.tolist()
-    volts.append(0.0)  # index -1 reads ground, as in stamp_mosfets
+    volts.append(0.0)  # index -1 reads ground, as in _device_values
     node_voltages = {"0": 0.0}
     for net, i in comp.node_index.items():
         if i >= 0:
@@ -491,9 +516,10 @@ def _finish_dc(comp: _Compiled, x: np.ndarray, iters: int, residual: float) -> D
         v.id: volts[comp.n_nodes + k] for k, v in enumerate(comp.vsources)
     }
     ops = {}
-    for dev, card, w, l, di, gi, si in comp.mosfets:
+    device_values = comp._device_values(x).tolist()
+    for k, (dev, card, _, _, di, gi, si) in enumerate(comp.mosfets):
         vg, vd, vs = volts[gi], volts[di], volts[si]
-        i_d, gm, gds = mos_current(card, w, l, vg, vd, vs)
+        i_d, _, gm, gds = device_values[8 * k: 8 * k + 4]
         pol = card.polarity
         vgs_n = pol * (vg - vs)
         vds_n = pol * (vd - vs)
@@ -627,30 +653,39 @@ def solve_transient(
 
     n_steps = int(round(t_stop / dt))
     times = np.arange(n_steps + 1) * dt
-    # from the last breakpoint on, b(t) is constant: a step that needs no
-    # Newton update then repeats exactly, so the waveform has settled
+    # from the last breakpoint on, b(t) is constant, so it is built no more,
+    # and a step that needs no Newton update then repeats exactly: the
+    # waveform has settled
     settle_t = max((points[-1][0] for points, _, _ in drives), default=0.0)
     c_over_dt = comp.c_mat / dt
     history = np.empty((n_steps + 1, comp.n_unknowns))
     history[0] = x
+    b_settled = False
     for k in range(1, n_steps + 1):
         t = k * dt
-        b = comp.b_dc.copy()
-        for points, vrow, isrc in drives:
-            val = _pwl_value(points, t)
-            if vrow is not None:
-                b[vrow] = val
-            else:
-                p, m, base = isrc
-                if p >= 0:
-                    b[p] += base - val
-                if m >= 0:
-                    b[m] -= base - val
-        x, iters, _ = comp.newton(
-            x, b, max_iters=TRAN_MAX_ITERS, c_over_dt=c_over_dt, x_prev=history[k - 1],
-            context=f"transient step {k} (t = {t:.6g} s)",
-        )
-        if iters == 0 and t >= settle_t:
+        if not b_settled:
+            b = comp.b_dc.copy()
+            for points, vrow, isrc in drives:
+                val = _pwl_value(points, t)
+                if vrow is not None:
+                    b[vrow] = val
+                else:
+                    p, m, base = isrc
+                    if p >= 0:
+                        b[p] += base - val
+                    if m >= 0:
+                        b[m] -= base - val
+            b_settled = t >= settle_t
+        try:
+            x, iters, _ = comp.newton(
+                x, b, max_iters=TRAN_MAX_ITERS, c_over_dt=c_over_dt, x_prev=history[k - 1]
+            )
+        except NonConvergence as exc:
+            # the step's context is formatted only for the error
+            raise NonConvergence(
+                exc.residual, exc.iterations, f"transient step {k} (t = {t:.6g} s)"
+            ) from None
+        if iters == 0 and b_settled:
             history[k:] = x
             break
         history[k] = x

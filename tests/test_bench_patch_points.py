@@ -16,6 +16,7 @@ from amsizer.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
+DE_TRAN = ROOT / "perfbench" / "configs" / "de_tran_run.yaml"
 
 
 def load_layers():
@@ -68,6 +69,29 @@ def test_optimize_reaches_workflow_solve_ac(monkeypatch, capsys):
     assert code == 0
     # each point whose DC converged is swept exactly once, in order
     assert swept and [id(dc) for dc in swept] == [id(dc) for dc in solved]
+
+
+def test_optimize_reaches_workflow_solve_transient(monkeypatch, capsys):
+    # the traced benchmark needs simulator.tran on de-tran
+    solve_ac, solve_transient = amsizer.workflow.solve_ac, amsizer.workflow.solve_transient
+    swept, stepped = [], []
+
+    def counted_ac(circuit, models, dc, *args, **kwargs):
+        ac = solve_ac(circuit, models, dc, *args, **kwargs)
+        swept.append(dc)  # only once DC and AC have both succeeded
+        return ac
+
+    def counted_transient(circuit, models, dc, *args, **kwargs):
+        stepped.append(dc)
+        return solve_transient(circuit, models, dc, *args, **kwargs)
+
+    monkeypatch.setattr(amsizer.workflow, "solve_ac", counted_ac)
+    monkeypatch.setattr(amsizer.workflow, "solve_transient", counted_transient)
+    code = main(["optimize", str(DE_TRAN), "--algo", "de", "--budget", "4"])
+    capsys.readouterr()
+    assert code == 0
+    # each point whose DC and AC succeeded is stepped exactly once, in order
+    assert swept and [id(dc) for dc in stepped] == [id(dc) for dc in swept]
 
 
 def test_bo_reaches_optimizer_gp_predict_and_ei(monkeypatch, capsys):

@@ -232,6 +232,21 @@ class TestDiagnostics:
             "parameters:\n  - {name: CX, lo: 1.0, hi: 2.0}\n")
         self.check(tmp_path, "parameters: no netlist placeholder named: CX", config=config)
 
+    def test_linear_range_reaching_zero_for_a_positive_slot(self, tmp_path):
+        # every point with RL = 0 would fail to bind
+        config = BASE_CONFIG.format(extra="").replace(
+            "{name: RL, lo: 100.0, hi: 1.0e6, unit: ohm, scale: log}",
+            "{name: RL, lo: 0, hi: 1.0e6, unit: ohm}")
+        self.check(tmp_path, "parameters: parameter 'RL' sets R of device RL, which must be "
+                   "strictly positive, but its range starts at lo = 0", config=config)
+
+    def test_nonpositive_range_for_a_source_value_loads(self, tmp_path):
+        netlist = CS_NETLIST.replace("DC 0.9 AC 1", "DC {VB} AC 1")
+        config = BASE_CONFIG.format(extra="").replace(
+            "parameters:\n", "parameters:\n  - {name: VB, lo: -0.5, hi: 1.0}\n")
+        cfg = load_config(write_run(tmp_path, config=config, netlist=netlist))
+        assert cfg.space.entry("VB").lo == -0.5
+
     def test_bad_parameter_range(self, tmp_path):
         config = BASE_CONFIG.format(extra="").replace("lo: 1e-6, hi: 1e-4", "lo: 1e-4, hi: 1e-6")
         self.check(tmp_path, "parameters: .*W1.*lo must be < hi", config=config)

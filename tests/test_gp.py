@@ -210,3 +210,46 @@ def test_ei_closed_form_equals_scipy_stats_exactly():
     oracle = _ei_scipy_stats_oracle(mean, var, best)
     assert ei.shape == oracle.shape
     assert (ei == oracle).all()
+
+
+def _ei_masked(mean, var, best_so_far):
+    """expected_improvement's masked path, run whatever the sigmas."""
+    from scipy.special import ndtr
+
+    sigma = np.sqrt(np.maximum(var, 0.0))
+    gain = mean - best_so_far
+    pos = sigma > 0.0
+    ei = np.where(pos, 0.0, np.maximum(gain, 0.0))
+    z = gain[pos] / sigma[pos]
+    ei[pos] = gain[pos] * ndtr(z) + sigma[pos] * (np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi))
+    return np.maximum(ei, 0.0)
+
+
+@pytest.mark.parametrize("size, cases", [(1, 10_000), (3, 8_000), (1024, 2_000)])
+def test_ei_without_masks_matches_masked_path_bit_for_bit(size, cases):
+    # every sigma > 0, so expected_improvement takes its mask-free path
+    rng = np.random.default_rng(size)
+    for _ in range(cases):
+        best = rng.normal()
+        mean = best + rng.normal(size=size) * 10.0 ** rng.uniform(-6.0, 2.0, size)
+        var = 10.0 ** rng.uniform(-14.0, 4.0, size)
+        ei = expected_improvement(mean, var, best)
+        assert ei.tobytes() == _ei_masked(mean, var, best).tobytes()
+
+
+def test_ei_with_some_zero_sigma_matches_masked_path_bit_for_bit():
+    # a zero or negative variance in the batch sends expected_improvement down
+    # its masked path; the points with sigma > 0 must get the same bits either way
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 3, 1024) * 500:
+        best = rng.normal()
+        mean = best + rng.normal(size=size) * 10.0 ** rng.uniform(-6.0, 2.0, size)
+        var = 10.0 ** rng.uniform(-14.0, 4.0, size)
+        var[rng.random(size) < 0.3] = rng.choice([0.0, -0.0, -1e-12])
+        ei = expected_improvement(mean, var, best)
+        assert ei.tobytes() == _ei_masked(mean, var, best).tobytes()
+        positive = var > 0.0
+        if positive.any():
+            one_by_one = expected_improvement(mean[positive], var[positive], best)
+            assert one_by_one.tobytes() == ei[positive].tobytes()
+    assert expected_improvement(np.float64(0.5), np.float64(0.0), 0.25) == 0.25

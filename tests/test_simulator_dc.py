@@ -12,8 +12,9 @@ from amsizer.mosfet import (
     DEFAULT_MODEL_CARDS,
     MosModelCard,
     classify_region,
+    OV_BLEND,
     mos_current,
-    smooth_overdrive,
+    mos_eval,
 )
 from amsizer import simulator
 from amsizer.config import build_state, load_config
@@ -29,19 +30,40 @@ PMOS_IDEAL = MosModelCard("PMOS", vth=0.4, kprime=80e-6, lam=0.0)
 # ---------------------------------------------------------------------------
 # device model oracles
 
+def _smooth_overdrive(x):
+    """Reference: max(x, 0) with a C1 quadratic blend of half-width
+    OV_BLEND; returns (vov, dvov/dx)."""
+    e = OV_BLEND
+    if x <= -e:
+        return 0.0, 0.0
+    if x >= e:
+        return x, 1.0
+    t = x + e
+    return t * t / (4.0 * e), t / (2.0 * e)
+
+
+def _model_overdrive(x):
+    """(vov, dvov/dx) of mos_eval at vgs - vth = x, read back from a
+    saturated NMOS with beta = 1 and lambda = 0: i = vov^2 / 2 and
+    gm = vov * dvov."""
+    i, gm, _ = mos_eval(1, 1.0, 0.0, 0.0, x, 10.0, 0.0)
+    vov = math.sqrt(2.0 * i)
+    return vov, (gm / vov if vov else 0.0)
+
+
 def test_smooth_overdrive_blend():
     e = 1e-3
-    assert smooth_overdrive(-2 * e) == (0.0, 0.0)
-    assert smooth_overdrive(5.0) == (5.0, 1.0)
+    assert _model_overdrive(-2 * e) == (0.0, 0.0)
+    assert _model_overdrive(5.0) == (5.0, 1.0)
     # continuity at the blend edges
-    v_lo, d_lo = smooth_overdrive(-e)
+    v_lo, d_lo = _model_overdrive(-e)
     assert v_lo == pytest.approx(0.0, abs=1e-15)
     assert d_lo == pytest.approx(0.0, abs=1e-12)
-    v_hi, d_hi = smooth_overdrive(e)
+    v_hi, d_hi = _model_overdrive(e)
     assert v_hi == pytest.approx(e)
     assert d_hi == pytest.approx(1.0)
     # midpoint of the blend
-    v_mid, d_mid = smooth_overdrive(0.0)
+    v_mid, d_mid = _model_overdrive(0.0)
     assert v_mid == pytest.approx(e / 4)
     assert d_mid == pytest.approx(0.5)
 
@@ -105,6 +127,50 @@ def test_mos_current_continuous_at_vds_zero():
     i_minus, _, _ = mos_current(NMOS_IDEAL, 10e-6, 1e-6, vg=0.8, vd=-1e-12, vs=0.0)
     assert i_plus == pytest.approx(0.0, abs=1e-12)
     assert i_minus == pytest.approx(0.0, abs=1e-12)
+
+
+def _nested_mos_current(card, w, l, vg, vd, vs):
+    """Reference: the square law in the forward frame, its overdrive from
+    _smooth_overdrive, called once per conduction direction."""
+    def forward(vgs, vds, beta):
+        vov, dvov = _smooth_overdrive(vgs - card.vth)
+        clm = 1.0 + card.lam * vds
+        if vds >= vov:
+            i0 = 0.5 * beta * vov * vov
+            return i0 * clm, beta * vov * dvov * clm, i0 * card.lam
+        i0 = beta * (vov * vds - 0.5 * vds * vds)
+        return i0 * clm, beta * dvov * vds * clm, beta * (vov - vds) * clm + i0 * card.lam
+
+    pol = card.polarity
+    beta = card.kprime * w / l
+    u, wv = pol * (vg - vs), pol * (vd - vs)
+    if wv >= 0.0:
+        i, fu, fw = forward(u, wv, beta)
+        return pol * i, fu, fw
+    i, fu, fw = forward(u - wv, -wv, beta)
+    return -pol * i, -fu, fu + fw
+
+
+def test_mos_current_matches_nested_reference_bit_for_bit():
+    rng = random.Random(11)
+    cards = [NMOS_IDEAL, PMOS_IDEAL, *DEFAULT_MODEL_CARDS.values()]
+    blend = 0
+    for _ in range(20_000):
+        card = rng.choice(cards)
+        w, l = rng.uniform(1e-6, 2e-4), rng.uniform(2e-7, 5e-6)
+        vs, vd = rng.uniform(-1.8, 1.8), rng.uniform(-1.8, 1.8)
+        if rng.random() < 0.1:
+            vd = vs
+        # a third of the gates sit within 2 mV of threshold, on either side
+        # of the source and in either conduction direction
+        near = rng.random() < 1 / 3
+        vg = (rng.choice((vs, vd)) + card.polarity * (card.vth + rng.uniform(-2e-3, 2e-3))
+              if near else rng.uniform(-1.8, 1.8))
+        got = mos_current(card, w, l, vg, vd, vs)
+        # reprs tell -0.0 from 0.0, so equal reprs mean equal bits
+        assert repr(got) == repr(_nested_mos_current(card, w, l, vg, vd, vs))
+        blend += near
+    assert blend > 5_000
 
 
 def test_classify_region_examples():
