@@ -49,9 +49,18 @@ DEFAULT_MODEL_CARDS = {
 def mos_eval(
     pol: int, beta: float, vth: float, lam: float, vg: float, vd: float, vs: float
 ) -> tuple[float, float, float]:
-    """mos_current on precomputed device constants: polarity (+1 NMOS,
-    -1 PMOS) and beta = kprime * W / L.  A simulator calls this once per
-    device per Newton iterate, so it is one flat function."""
+    """Drain current of a MOSFET on precomputed device constants: polarity
+    (+1 NMOS, -1 PMOS) and beta = kprime * W / L.  A simulator calls this
+    once per device per Newton iterate, so it is one flat function.
+
+    Returns (id, did/dvgs_n, did/dvds_n) where `id` is the conventional
+    current into the physical drain terminal and the derivatives are in
+    the polarity-normalized frame.  The caller converts to node-voltage
+    derivatives; those turn out to be polarity-independent:
+
+        dI_d/dvg = did_dvgs_n,  dI_d/dvd = did_dvds_n,
+        dI_d/dvs = -(did_dvgs_n + did_dvds_n)
+    """
     u = pol * (vg - vs)
     wv = pol * (vd - vs)
     if wv >= 0.0:
@@ -79,22 +88,6 @@ def mos_eval(
     if wv >= 0.0:
         return pol * i, fu, fw
     return -pol * i, -fu, fu + fw
-
-
-def mos_current(
-    card: MosModelCard, w: float, l: float, vg: float, vd: float, vs: float
-) -> tuple[float, float, float]:
-    """Drain current of a MOSFET at the given terminal voltages.
-
-    Returns (id, did/dvgs_n, did/dvds_n) where `id` is the conventional
-    current into the physical drain terminal and the derivatives are in
-    the polarity-normalized frame.  The caller converts to node-voltage
-    derivatives; those turn out to be polarity-independent:
-
-        dI_d/dvg = did_dvgs_n,  dI_d/dvd = did_dvds_n,
-        dI_d/dvs = -(did_dvgs_n + did_dvds_n)
-    """
-    return mos_eval(card.polarity, card.kprime * w / l, card.vth, card.lam, vg, vd, vs)
 
 
 def classify_region(vgs: float, vds: float, vth_eff: float) -> str:

@@ -78,12 +78,6 @@ class Circuit:
     params: tuple[str, ...]
     title: str = ""
 
-    def device(self, dev_id: str) -> Device:
-        for d in self.devices:
-            if d.id == dev_id:
-                return d
-        raise KeyError(dev_id)
-
     def mosfets(self) -> list[Device]:
         return [d for d in self.devices if d.kind is DeviceKind.MOSFET]
 

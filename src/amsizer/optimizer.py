@@ -258,8 +258,7 @@ def _run_bo(req, run, codec, feasible, rng, init_pts):
             ei = expected_improvement(mean, var, f_star)
             top = np.argsort(-ei)[:EI_REFINE_TOP]
             best_z, best_ei = None, -1.0
-            for idx in top:
-                z, e = _refine_ei(cand_z[idx], model, f_star, codec, feasible)
+            for z, e in zip(*_refine_ei(cand_z[top], model, f_star, codec, feasible)):
                 if e > best_ei:
                     best_z, best_ei = z, e
             # a proposal on top of known data adds nothing: explore instead
@@ -277,37 +276,46 @@ def _run_bo(req, run, codec, feasible, rng, init_pts):
 
 
 def _refine_ei(z0, model, f_star, codec, feasible):
-    """Coordinate-descent polish of an EI candidate, derivative-free."""
-    # Many trial steps project onto a point this refinement has already
-    # scored: a step clipped at a face of the cube, or a step on a follower
-    # of an equal matching group, which projects back onto its leader.
-    # gp_predict is deterministic, so the EI memoized under the projected
-    # point's bytes is exactly what a fresh call would return.
+    """Coordinate-descent polish of EI candidates (rows), derivative-free.
+
+    The rows are refined in lockstep: each takes exactly the steps it
+    would take alone, but each round projects all +step trials in one
+    call, then all -step trials. Returns the polished rows and their EI."""
+    # Many trial steps project onto a point already scored: a step clipped at
+    # a face of the cube, or a step on a follower of an equal matching group,
+    # which projects back onto its leader. gp_predict is deterministic, so
+    # the EI memoized under the projected point's bytes is exactly what a
+    # fresh call would return. gp_predict keeps one row per call, since a
+    # row of a batched call may differ in its last bits; projection and EI
+    # work row by row, so their batched rows equal one-row calls bit for bit.
     scored: dict[bytes, float] = {}
 
     def ei_at(z):
-        zp = codec.encode_matrix(feasible.project_matrix(codec.decode_matrix(z)))[0]
-        key = zp.tobytes()
-        if key not in scored:
-            mean, var = gp_predict(model, zp)
-            scored[key] = float(expected_improvement(mean, var, f_star)[0])
-        return scored[key], zp
+        # C order: a strided row of the projection's F-ordered result would
+        # take another matmul path in gp_predict than a one-row call does
+        zp = np.ascontiguousarray(
+            codec.encode_matrix(feasible.project_matrix(codec.decode_matrix(z))))
+        keys = [row.tobytes() for row in zp]
+        new = {k: row for k, row in zip(keys, zp) if k not in scored}
+        if new:
+            mean, var = zip(*(gp_predict(model, row) for row in new.values()))
+            ei = expected_improvement(np.concatenate(mean), np.concatenate(var), f_star)
+            scored.update(zip(new, ei.tolist()))
+        return np.array([scored[k] for k in keys]), zp
 
     cur_ei, z = ei_at(z0)
-    step = 0.25
-    d = codec.dim
+    step = np.full(len(z), 0.25)
     for it in range(EI_REFINE_ITERS):
-        j = it % d
-        improved = False
-        for delta in (step, -step):
+        j = it % codec.dim
+        improved = np.zeros(len(z), dtype=bool)
+        for sign in (1.0, -1.0):
             z_try = z.copy()
-            z_try[j] = min(max(z_try[j] + delta, 0.0), 1.0)
+            z_try[:, j] = np.clip(z[:, j] + sign * step, 0.0, 1.0)
             e, zp = ei_at(z_try)
-            if e > cur_ei:
-                cur_ei, z = e, zp
-                improved = True
-        if not improved:
-            step *= 0.5
+            better = e > cur_ei
+            cur_ei[better], z[better] = e[better], zp[better]
+            improved |= better
+        step[~improved] *= 0.5
     return z, cur_ei
 
 

@@ -98,6 +98,19 @@ class TraceLog:
         self.close()
 
 
+def _event(doc) -> TraceEvent:
+    """The event of one decoded record, whose payload the report can render."""
+    event = TraceEvent(**doc)
+    if not isinstance(event.payload, dict):
+        raise ValueError(f"payload must be an object, got {json.dumps(event.payload)}")
+    if event.kind == "sim_result":  # the fields the report reads as objects
+        for name in ("point", "regions", "metrics"):
+            value = event.payload.get(name)
+            if value is not None and not isinstance(value, dict):
+                raise ValueError(f"sim_result {name!r} must be an object, got {json.dumps(value)}")
+    return event
+
+
 def load_trace(path: str) -> list[TraceEvent]:
     events = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -106,9 +119,8 @@ def load_trace(path: str) -> list[TraceEvent]:
             if not line:
                 continue
             try:
-                doc = json.loads(line)
-                events.append(TraceEvent(**doc))
-            except (json.JSONDecodeError, TypeError) as exc:
+                events.append(_event(json.loads(line)))
+            except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
                 raise ValueError(f"{path}:{line_no}: bad trace record: {exc}") from exc
     return events
 

@@ -96,21 +96,25 @@ def test_optimize_reaches_workflow_solve_transient(monkeypatch, capsys):
 
 def test_bo_reaches_optimizer_gp_predict_and_ei(monkeypatch, capsys):
     # the traced benchmark needs gp.predict and optimizer.ei on agentic-folded
-    calls = {"gp_predict": 0, "expected_improvement": 0}
+    # gp_predict returns (mean, var) and expected_improvement one array, a row each
+    rows = {"gp_predict": 0, "expected_improvement": 0}
+    first_array = {"gp_predict": lambda out: out[0], "expected_improvement": lambda out: out}
 
     def counter(name):
         original = getattr(amsizer.optimizer, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+            out = original(*args, **kwargs)
+            rows[name] += len(first_array[name](out))
+            return out
         return counted
 
-    for name in calls:
+    for name in rows:
         monkeypatch.setattr(amsizer.optimizer, name, counter(name))
     # 10 parameters: the first 20 points are random, the last 4 are BO proposals
     code = main(["optimize", str(DATA / "folded_cascode_run.yaml"), "--algo", "bo", "--budget", "24"])
     capsys.readouterr()
     assert code == 0
-    assert calls["gp_predict"] > 0
-    assert calls["gp_predict"] == calls["expected_improvement"]
+    # every predicted row is scored once, though EI scores a refinement round's rows together
+    assert rows["gp_predict"] > 0
+    assert rows["gp_predict"] == rows["expected_improvement"]

@@ -397,6 +397,30 @@ class TestReport:
         code, out, err = run_cli(capsys, "report", str(trace))
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("field, value, message", [
+        (None, True, "payload must be an object, got true"),
+        ("point", 3, "sim_result 'point' must be an object, got 3"),
+        ("regions", "M1", "sim_result 'regions' must be an object, got \"M1\""),
+    ])
+    def test_malformed_sim_result_exits_1(self, tmp_path, capsys, field, value, message):
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "run", str(DATA / "two_stage_run.yaml"), "--output-dir", str(out_dir))
+        lines = (out_dir / "trace.jsonl").read_text().splitlines()
+        # the first scored simulation, which has a point, regions and metrics
+        line_no = next(i for i, line in enumerate(lines, start=1)
+                       if '"kind": "sim_result"' in line and '"fom"' in line)
+        doc = json.loads(lines[line_no - 1])
+        if field is None:
+            doc["payload"] = value
+        else:
+            doc["payload"][field] = value
+        lines[line_no - 1] = json.dumps(doc)
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "report", str(trace))
+        assert (code, out) == (1, "")
+        assert err == f"error: {trace}:{line_no}: bad trace record: {message}\n"
+
 
 class TestEntryPoint:
     def test_command_patched_after_a_first_call_runs(self, tmp_path, capsys, monkeypatch):

@@ -4,18 +4,12 @@
 at seeds 0 and 1: the evaluation counts must match exactly and every
 FoM within 1e-12 relative, so a simulator change that moves any point's
 transient (and with it the DE trajectory) fails here on any machine.
+Run this file as a script to print the current table.
 """
 
-import json
-from pathlib import Path
-
 import pytest
-import yaml
+from _digest import ROOT, assert_optimize_row, optimize_row, print_digest
 
-import amsizer.cli
-from amsizer.cli import main
-
-ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "perfbench" / "configs" / "de_tran_run.yaml"
 
 # seed -> (budget_used, failed_evaluations, best_fom, FoM of every evaluation in order)
@@ -43,35 +37,15 @@ DIGEST = {
 }
 
 
-def _config_at_seed(tmp_path: Path, seed: int) -> Path:
-    """de_tran_run.yaml with absolute paths, the given seed and a temporary output dir."""
-    cfg = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
-    cfg["netlist"] = str((CONFIG.parent / cfg["netlist"]).resolve())
-    cfg["backend"]["scenario"] = str((CONFIG.parent / cfg["backend"]["scenario"]).resolve())
-    cfg["seed"] = seed
-    cfg["output_dir"] = str(tmp_path / "out")
-    path = tmp_path / "run.yaml"
-    path.write_text(yaml.safe_dump(cfg, sort_keys=False), encoding="utf-8")
-    return path
+def _row(seed, tmp_path):
+    return optimize_row(CONFIG, tmp_path, seed, "de", 32)
 
 
 @pytest.mark.parametrize("seed", sorted(DIGEST))
-def test_de_tran_digest(seed, tmp_path, monkeypatch, capsys):
-    budget_used, failed, best_fom, foms = DIGEST[seed]
-    results = []
-    optimize = amsizer.cli.optimize
+def test_de_tran_digest(seed, tmp_path):
+    assert_optimize_row(_row(seed, tmp_path), DIGEST[seed])
 
-    def recorded(*args, **kwargs):
-        results.append(optimize(*args, **kwargs))
-        return results[-1]
 
-    monkeypatch.setattr(amsizer.cli, "optimize", recorded)
-    code = main(["optimize", str(_config_at_seed(tmp_path, seed)), "--algo", "de", "--budget", "32"])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert out["budget_used"] == budget_used
-    assert out["failed_evaluations"] == failed
-    assert out["best_fom"] == pytest.approx(best_fom, rel=1e-12, abs=0.0)
-    (result,) = results
-    assert len(result.evaluations) == len(foms)
-    assert [ev.fom for ev in result.evaluations] == pytest.approx(foms, rel=1e-12, abs=0.0)
+if __name__ == "__main__":
+    print_digest(_row, sorted(DIGEST), "seed -> (budget_used, failed_evaluations, best_fom, "
+                 "FoM of every evaluation in order)")

@@ -24,9 +24,14 @@ from amsizer.mosfet import DEFAULT_MODEL_CARDS
 from amsizer.simulator import Topology, solve_dc
 
 
+def _device(circuit, dev_id):
+    """The device named `dev_id` (KeyError if none)."""
+    return {d.id: d for d in circuit.devices}[dev_id]
+
+
 def test_parse_resistor_basic():
     c = parse_netlist("R1 in out 1k\nV1 in 0 1\n")
-    r = c.device("R1")
+    r = _device(c, "R1")
     assert r.kind is DeviceKind.RESISTOR
     assert r.terminals == ("in", "out")
     assert r.values["R"] == 1000.0
@@ -62,7 +67,7 @@ def test_parse_value_rejects_garbage():
 
 def test_parse_mosfet_with_placeholders():
     c = parse_netlist("M1 d g s b NMOS W={W1} L={L1}\nV1 d 0 1\n")
-    m = c.device("M1")
+    m = _device(c, "M1")
     assert m.kind is DeviceKind.MOSFET
     assert m.terminals == ("d", "g", "s", "b")
     assert m.model == "NMOS"
@@ -92,7 +97,7 @@ def test_comments_and_continuations():
         ".end\n"
     )
     c = parse_netlist(text)
-    m = c.device("M1")
+    m = _device(c, "M1")
     assert m.values["W"] == pytest.approx(10e-6)
     assert m.values["L"] == pytest.approx(1e-6)
 
@@ -104,10 +109,10 @@ def test_source_forms():
         "I1 a b 40u\n"
         "V3 c 0 DC 0.5\n"
     )
-    assert c.device("V1").values == {"DC": 1.8, "AC": 1.0}
-    assert c.device("V2").values == {"DC": 0.9}
-    assert c.device("I1").values == {"DC": pytest.approx(40e-6)}
-    assert c.device("V3").values == {"DC": 0.5}
+    assert _device(c, "V1").values == {"DC": 1.8, "AC": 1.0}
+    assert _device(c, "V2").values == {"DC": 0.9}
+    assert _device(c, "I1").values == {"DC": pytest.approx(40e-6)}
+    assert _device(c, "V3").values == {"DC": 0.5}
 
 
 def test_missing_ground_is_an_error():
@@ -161,8 +166,8 @@ def test_bind_parameters_substitutes():
     space = _space(W1=(1e-6, 100e-6), L1=(0.18e-6, 5e-6))
     bound = bind_parameters(c, space, {"W1": 10e-6, "L1": 1e-6})
     assert bound.params == ()
-    assert bound.device("M1").values["W"] == 10e-6
-    assert bound.device("M1").values["L"] == 1e-6
+    assert _device(bound, "M1").values["W"] == 10e-6
+    assert _device(bound, "M1").values["L"] == 1e-6
     # original untouched
     assert c.params == ("W1", "L1")
 

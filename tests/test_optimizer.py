@@ -342,7 +342,7 @@ def test_refine_ei_memo_matches_unmemoized_loop(monkeypatch):
         MatchingGroup("ratio", ("w3", "w4"), ratios=(1.0, 3.0)),
     )
     codec, feasible = _Codec(space), FeasibleSet(space, matching)
-    memo_calls, reference_calls = [], []
+    memo_calls, solo_calls, reference_calls = [], [], []
 
     def counted(calls):
         def predict(model, x):
@@ -350,7 +350,6 @@ def test_refine_ei_memo_matches_unmemoized_loop(monkeypatch):
             return gp_predict(model, x)
         return predict
 
-    monkeypatch.setattr(amsizer.optimizer, "gp_predict", counted(memo_calls))
     rng = np.random.default_rng(17)
     moved = 0
     for _ in range(8):
@@ -361,20 +360,29 @@ def test_refine_ei_memo_matches_unmemoized_loop(monkeypatch):
         ys = rng.normal(size=n)
         model = gp_fit(xs, ys)
         f_star = float(np.max(ys))
-        # starts on and near the faces of the cube, so trial steps clip at 0 and 1
+        # starts on and near the faces of the cube, so trial steps clip at 0 and 1,
+        # and two starts that differ only in the follower w2, so they project onto
+        # one point and the second is served from the first's memo entries
+        twin = rng.random(codec.dim)
         starts = np.concatenate(
             [np.zeros((1, codec.dim)), np.ones((1, codec.dim)),
-             rng.choice([0.05, 0.9, 1.0], size=(1, codec.dim)), rng.random((3, codec.dim))]
+             rng.choice([0.05, 0.9, 1.0], size=(1, codec.dim)), rng.random((3, codec.dim)),
+             twin[None], np.where(np.arange(codec.dim) == 1, 1.0 - twin, twin)[None]]
         )
+        monkeypatch.setattr(amsizer.optimizer, "gp_predict", counted(memo_calls))
+        zs, es = _refine_ei(starts, model, f_star, codec, feasible)
+        monkeypatch.setattr(amsizer.optimizer, "gp_predict", counted(solo_calls))
         for z0 in starts:
+            _refine_ei(z0[None], model, f_star, codec, feasible)
+        assert zs.shape == starts.shape and es.shape == (len(starts),)
+        for z0, z, e in zip(starts, zs, es):
             z_ref, e_ref = _refine_ei_unmemoized(
                 z0, model, f_star, codec, feasible, counted(reference_calls)
             )
-            z, e = _refine_ei(z0, model, f_star, codec, feasible)
             assert z.tobytes() == z_ref.tobytes()
             assert np.float64(e).tobytes() == np.float64(e_ref).tobytes()
             moved += not np.array_equal(z, codec.encode_matrix(feasible.project_matrix(
                 codec.decode_matrix(z0)))[0])
     assert moved > 0
-    assert len(reference_calls) == 8 * 6 * (1 + 2 * EI_REFINE_ITERS)
-    assert len(memo_calls) < len(reference_calls)
+    assert len(reference_calls) == 8 * 8 * (1 + 2 * EI_REFINE_ITERS)
+    assert len(memo_calls) < len(solo_calls) < len(reference_calls)

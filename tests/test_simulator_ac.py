@@ -26,6 +26,12 @@ from amsizer.simulator import (
     solve_dc,
 )
 
+
+def _device(circuit, dev_id):
+    """The device named `dev_id` (KeyError if none)."""
+    return {d.id: d for d in circuit.devices}[dev_id]
+
+
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 RUNS = ["two_stage_run.yaml", "folded_cascode_run.yaml"]
@@ -280,7 +286,7 @@ def _stacked_solve_ac(circuit, models, dc, plan):
     a = g[None, :, :] + 1j * 2.0 * np.pi * freqs[:, None, None] * c[None, :, :]
     rhs = np.broadcast_to(b.astype(complex)[:, None], (len(freqs), len(b), 1))
     xs = np.linalg.solve(a, rhs)[:, :, 0]
-    ac_in = circuit.device(plan.input_source).values.get("AC", 1.0)
+    ac_in = _device(circuit, plan.input_source).values.get("AC", 1.0)
     return AcSweep(freqs_hz=freqs, transfer=xs[:, comp.node_index[plan.output_net]] / ac_in)
 
 
@@ -297,7 +303,7 @@ def test_transfer_matches_40_digit_lu(run):
         for circuit, dc in points:
             g, c, b, comp = _ac_system(circuit, cfg.model_cards, dc)
             out = comp.node_index[plan.output_net]
-            ac_in = circuit.device(plan.input_source).values.get("AC", 1.0)
+            ac_in = _device(circuit, plan.input_source).values.get("AC", 1.0)
             n = len(b)
             for f in (1.0, 1e3, 1e6, 1e9):
                 w = 2 * mpmath.pi * mpmath.mpf(f)

@@ -13,7 +13,6 @@ from amsizer.mosfet import (
     MosModelCard,
     classify_region,
     OV_BLEND,
-    mos_current,
     mos_eval,
 )
 from amsizer import simulator
@@ -29,6 +28,11 @@ PMOS_IDEAL = MosModelCard("PMOS", vth=0.4, kprime=80e-6, lam=0.0)
 
 # ---------------------------------------------------------------------------
 # device model oracles
+
+def mos_current(card, w, l, vg, vd, vs):
+    """mos_eval from a model card and W/L: (id, did/dvgs_n, did/dvds_n)."""
+    return mos_eval(card.polarity, card.kprime * w / l, card.vth, card.lam, vg, vd, vs)
+
 
 def _smooth_overdrive(x):
     """Reference: max(x, 0) with a C1 quadratic blend of half-width

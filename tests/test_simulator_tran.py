@@ -16,6 +16,12 @@ from amsizer.simulator import (
     solve_transient,
 )
 
+
+def _device(circuit, dev_id):
+    """The device named `dev_id` (KeyError if none)."""
+    return {d.id: d for d in circuit.devices}[dev_id]
+
+
 DE_TRAN_CONFIG = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "de_tran_run.yaml"
 
 INVERTER = (
@@ -241,7 +247,7 @@ def test_de_tran_points_stop_early_with_identical_waveforms(newton_calls):
             for e in cfg.space.entries
         }
         bound = bind_parameters(circuit, cfg.space, point)
-        v0 = bound.device(tp.source).value("DC")
+        v0 = _device(bound, tp.source).value("DC")
         stimulus = {tp.source: [(0.0, v0 + tp.step_v)]}
         try:
             n_early, n_full = _differential(
