@@ -6,7 +6,7 @@ Run:  python3 demos/01_parse_and_simulate.py
 
 from amsizer.mosfet import DEFAULT_MODEL_CARDS
 from amsizer.netlist import parse_netlist, serialize_netlist
-from amsizer.simulator import solve_dc
+from amsizer.simulator import Topology, solve_dc
 
 NETLIST = """\
 Single-transistor gain stage with resistive load
@@ -25,12 +25,13 @@ def main() -> None:
     print(f"nets           : {', '.join(sorted(circuit.nets))}")
     print(f"placeholders   : {', '.join(sorted(circuit.params))}")
 
+    # compile the circuit once, then bind its placeholders to one point:
     # a circuit with unbound placeholders cannot be simulated yet
     point = {"W1": 3e-6, "RL": 10e3}
-    bound = circuit.bind(point)
+    system = Topology(circuit, DEFAULT_MODEL_CARDS).bind(point)
     print(f"\nbinding {point} and solving DC (Newton-Raphson on the MNA system)")
 
-    dc = solve_dc(bound, DEFAULT_MODEL_CARDS)
+    dc = solve_dc(system)
     print(f"converged in {dc.iterations} iterations, "
           f"worst KCL residual {dc.residual_a:.2e} A\n")
 

@@ -7,7 +7,7 @@ Run:  python3 demos/02_ac_metrics.py
 from amsizer.metrics import Spec, evaluate, extract_metrics
 from amsizer.mosfet import DEFAULT_MODEL_CARDS
 from amsizer.netlist import ParameterSpace, SpaceEntry, bind_parameters, parse_netlist
-from amsizer.simulator import solve_ac, solve_dc
+from amsizer.simulator import Topology, solve_ac, solve_dc
 
 NETLIST = """\
 Two-stage Miller-compensated operational amplifier
@@ -50,13 +50,15 @@ SPECS = [
 
 
 def main() -> None:
-    circuit = bind_parameters(parse_netlist(NETLIST), SPACE, POINT)
-    dc = solve_dc(circuit, DEFAULT_MODEL_CARDS)
+    # compile once per circuit, then bind a point checked against its ranges
+    topology = Topology(parse_netlist(NETLIST), DEFAULT_MODEL_CARDS)
+    system = bind_parameters(topology, SPACE, POINT)
+    dc = solve_dc(system)
     print(f"DC converged in {dc.iterations} iterations; regions: "
           + ", ".join(f"{d}={op['region']}" for d, op in sorted(dc.transistor_ops.items())))
 
     # small-signal sweep, input at VIN, response read at 'out'
-    ac = solve_ac(circuit, DEFAULT_MODEL_CARDS, dc, "VIN", "out", f_lo=1.0, f_hi=1e9)
+    ac = solve_ac(system, dc, "VIN", "out", f_lo=1.0, f_hi=1e9)
     print(f"AC sweep: {len(ac.freqs_hz)} points, "
           f"{ac.freqs_hz[0]:.0f} Hz .. {ac.freqs_hz[-1]:.0e} Hz")
 

@@ -149,14 +149,14 @@ def cmd_simulate(args) -> int:
             f"unbound placeholder(s): {', '.join(unbound)}; use --param NAME=VALUE"
         )
     system = Topology(circuit, DEFAULT_MODEL_CARDS).bind(point)
-    dc = solve_dc(system, DEFAULT_MODEL_CARDS)
+    dc = solve_dc(system)
 
     if args.ac:
         for flag in ("input", "output"):
             if getattr(args, flag) is None:
                 raise BindingError(f"--ac requires --{flag}")
         ac = solve_ac(
-            system, DEFAULT_MODEL_CARDS, dc,
+            system, dc,
             args.input, args.output, args.f_lo, args.f_hi, args.pts_per_decade,
         )
         mag_db = 20.0 * np.log10(np.maximum(np.abs(ac.transfer), 1e-300))
@@ -178,9 +178,7 @@ def cmd_simulate(args) -> int:
             raise BindingError(f"--input {args.input!r} is not an independent source")
         v0 = system.value(args.input, "DC")
         stimulus = {args.input: [(0.0, v0 + args.step_v)]}
-        tran = solve_transient(
-            system, DEFAULT_MODEL_CARDS, dc, stimulus, args.t_stop, args.dt,
-        )
+        tran = solve_transient(system, dc, stimulus, args.t_stop, args.dt)
         if args.output not in tran.node_voltages:
             raise BindingError(f"no net named {args.output!r}")
         print(f"t_s,v_{args.output}")

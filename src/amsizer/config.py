@@ -8,6 +8,7 @@ every diagnostic names the offending field.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ from .metrics import Spec, validate_specs
 from .mosfet import DEFAULT_MODEL_CARDS, MosModelCard
 from .netlist import (
     _POSITIVE_SLOTS,
+    Circuit,
     DeviceKind,
     MatchingGroup,
     NetlistError,
@@ -50,7 +52,7 @@ class BackendConfig:
 @dataclass
 class RunConfig:
     netlist_path: str
-    netlist_text: str
+    circuit: Circuit
     space: ParameterSpace
     specs: tuple[Spec, ...]
     ac_plan: AcPlan
@@ -103,12 +105,15 @@ def _num(raw: dict, key: str, path: str, default: float | None = None) -> float:
     if isinstance(value, str):
         # YAML 1.1 reads "1e-6" (no dot) as a string; accept it anyway
         try:
-            return float(value)
+            value = float(value)
         except ValueError:
             raise _fail(f"{path}.{key}", f"expected a number, got {value!r}") from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(f"{path}.{key}", f"expected a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
+    return value
 
 
 def _int(raw: dict, key: str, path: str, default: int | None = None) -> int:
@@ -381,7 +386,7 @@ def load_config(path: str) -> RunConfig:
 
     return RunConfig(
         netlist_path=netlist_path,
-        netlist_text=netlist_text,
+        circuit=circuit,
         space=space,
         specs=specs,
         ac_plan=ac_plan,
@@ -399,7 +404,7 @@ def load_config(path: str) -> RunConfig:
 def build_state(config: RunConfig) -> WorkflowState:
     """Construct the initial workflow state from a validated config."""
     return WorkflowState(
-        circuit=parse_netlist(config.netlist_text),
+        circuit=config.circuit,
         space=config.space,
         specs=list(config.specs),
         model_cards=dict(config.model_cards),

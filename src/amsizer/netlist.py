@@ -81,22 +81,6 @@ class Circuit:
     def mosfets(self) -> list[Device]:
         return [d for d in self.devices if d.kind is DeviceKind.MOSFET]
 
-    def bind(self, point: dict[str, float]) -> Circuit:
-        """This circuit with every placeholder replaced by its value in
-        `point`, without range validation (see bind_parameters)."""
-        devices = []
-        for d in self.devices:
-            values: dict[str, float | Param] = {}
-            for slot, v in d.values.items():
-                if isinstance(v, Param):
-                    if v.name not in point:
-                        raise BindingError(f"missing parameter {v.name!r}")
-                    values[slot] = float(point[v.name])
-                else:
-                    values[slot] = v
-            devices.append(Device(d.id, d.kind, d.terminals, values, model=d.model))
-        return Circuit(tuple(devices), self.nets, (), self.title)
-
 
 @dataclass(frozen=True)
 class SpaceEntry:
@@ -409,19 +393,19 @@ def serialize_netlist(c: Circuit) -> str:
 # ---------------------------------------------------------------------------
 # binding and the feasible set
 
-def bind_parameters(c, space: ParameterSpace, point: dict[str, float]):
-    """Check `point` against `space` and return `c.bind(point)`.
+def bind_parameters(topology, space: ParameterSpace, point: dict[str, float]):
+    """Check `point` against `space` and return `topology.bind(point)`.
 
-    `c` is a Circuit, bound to the substituted Circuit, or a circuit
-    compiled once per run (`simulator.Topology`), bound to its MNA system
-    at `point`.  Every placeholder of `c` must be covered by `point` and
-    lie inside the [lo, hi] range of its ParameterSpace entry.
+    `topology` is a circuit compiled once per run (`simulator.Topology`);
+    the result is its MNA system at `point`, which every analysis takes.
+    Every placeholder of the circuit must be covered by `point` and lie
+    inside the [lo, hi] range of its ParameterSpace entry.
     """
     for name in space.names:
-        if name not in c.params:
+        if name not in topology.params:
             raise BindingError(f"space parameter {name!r} has no placeholder in the circuit")
     by_name = space._by_name
-    for name in c.params:
+    for name in topology.params:
         if name not in point:
             raise BindingError(f"missing parameter {name!r}")
         e = by_name.get(name)
@@ -432,7 +416,7 @@ def bind_parameters(c, space: ParameterSpace, point: dict[str, float]):
             raise BindingError(
                 f"parameter {name!r} = {v} outside range [{e.lo}, {e.hi}]"
             )
-    return c.bind(point)
+    return topology.bind(point)
 
 
 def _leader_range(g: MatchingGroup, space: ParameterSpace) -> tuple[float, float]:

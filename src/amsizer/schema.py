@@ -16,17 +16,6 @@ from dataclasses import dataclass
 from .netlist import MatchingGroup, ParameterSpace, validate_matching_groups
 from .state import REGION_GOALS
 
-SCHEMA_IDS = (
-    "explanation",
-    "matching_groups",
-    "dc_goals",
-    "sizing_proposal",
-    "dc_review",
-    "specs_review",
-    "advisor_review",
-    "equipped_sizing",
-)
-
 TOOL_CHOICES = ("full_sim", "dc_sim")
 ACTION_CHOICES = ("propose", "optimize")
 
@@ -277,63 +266,63 @@ def _validate_equipped_sizing(doc: dict, ctx: SchemaContext, notes: list[str]) -
     return out
 
 
-_VALIDATORS = {
-    "explanation": _validate_explanation,
-    "matching_groups": _validate_matching_groups,
-    "dc_goals": _validate_dc_goals,
-    "sizing_proposal": _validate_sizing_proposal,
-    "dc_review": _validate_dc_review,
-    "specs_review": _validate_specs_review,
-    "advisor_review": _validate_advisor_review,
-    "equipped_sizing": _validate_equipped_sizing,
-}
-
-_HINTS = {
-    "explanation": '{"explanation": "<role of each device and the overall topology>"}',
+# schema id -> (validator, the JSON shape shown to the agent)
+_SCHEMAS = {
+    "explanation": (
+        _validate_explanation,
+        '{"explanation": "<role of each device and the overall topology>"}',
+    ),
     "matching_groups": (
+        _validate_matching_groups,
         '{"groups": [{"kind": "equal|ratio", "members": ["<param>", ...], '
-        '"ratios": [<number>, ...]}], "rationale": "<text>"}'
+        '"ratios": [<number>, ...]}], "rationale": "<text>"}',
     ),
     "dc_goals": (
-        '{"goals": {"<transistor>": "cutoff|triode|saturation", ...}, "rationale": "<text>"}'
+        _validate_dc_goals,
+        '{"goals": {"<transistor>": "cutoff|triode|saturation", ...}, "rationale": "<text>"}',
     ),
     "sizing_proposal": (
+        _validate_sizing_proposal,
         '{"parameters": {"<param>": <number>, ... one entry per sizing parameter}, '
-        '"rationale": "<why these values>"}'
+        '"rationale": "<why these values>"}',
     ),
     "dc_review": (
+        _validate_dc_review,
         '{"goals_met": <true|false>, "discrepancies": ["<device: observed vs goal>", ...], '
-        '"feedback": "<suggested modifications>"}'
+        '"feedback": "<suggested modifications>"}',
     ),
     "specs_review": (
+        _validate_specs_review,
         '{"critique": "<which targets fail and why>", "feedback": "<guidance for the sizer>", '
-        '"next_tool": "full_sim|dc_sim"}'
+        '"next_tool": "full_sim|dc_sim"}',
     ),
     "advisor_review": (
+        _validate_advisor_review,
         '{"critique": "<progress assessment>", "feedback": "<guidance>", '
         '"stagnation": <true|false>, "advise_optimizer": <true|false>, '
-        '"next_tool": "full_sim|dc_sim"}'
+        '"next_tool": "full_sim|dc_sim"}',
     ),
     "equipped_sizing": (
+        _validate_equipped_sizing,
         '{"action": "propose|optimize", "rationale": "<text>", '
         '"parameters": {"<param>": <number>, ...} (when proposing), '
-        '"optimizer_budget": <int>, "algorithm": "bo|de" (when optimizing)}'
+        '"optimizer_budget": <int>, "algorithm": "bo|de" (when optimizing)}',
     ),
 }
 
 
 def schema_hint(schema_id: str) -> str:
-    if schema_id not in _HINTS:
+    if schema_id not in _SCHEMAS:
         raise KeyError(f"unknown schema id {schema_id!r}")
-    return _HINTS[schema_id]
+    return _SCHEMAS[schema_id][1]
 
 
 def validate(schema_id: str, doc: dict, ctx: SchemaContext) -> tuple[dict, tuple[str, ...]]:
     """Validate one parsed document; returns (payload, repair notes)."""
-    if schema_id not in _VALIDATORS:
+    if schema_id not in _SCHEMAS:
         raise KeyError(f"unknown schema id {schema_id!r}")
     notes: list[str] = []
-    payload = _VALIDATORS[schema_id](doc, ctx, notes)
+    payload = _SCHEMAS[schema_id][0](doc, ctx, notes)
     return payload, tuple(notes)
 
 

@@ -8,8 +8,8 @@ I(Vxx) convention.
 
 A Topology compiles a circuit once; binding it to a parameter point fills
 in a value vector and stamps G, C and the source vectors at precomputed
-positions.  Every analysis takes that bound system, or a numeric Circuit,
-which it compiles and binds to no parameters.
+positions.  Every analysis takes that bound system (a circuit without
+placeholders binds to the empty point).
 
 DC solves run a convergence ladder: plain Newton, then Newton with gmin
 shunts on every node, then source stepping; any gmin-assisted solution
@@ -153,8 +153,8 @@ class Topology:
     simulators do (Quarles 1989): every net and V source resolved to its
     MNA unknown, every device value to a constant or a placeholder, and
     every matrix stamp to its position.  `bind` fills in one point's
-    values, so a Topology binds through netlist.bind_parameters like a
-    Circuit."""
+    values; netlist.bind_parameters checks the point against its ranges
+    first."""
 
     def __init__(self, circuit: Circuit, models: dict[str, MosModelCard]):
         self.circuit, self.models = circuit, models
@@ -184,7 +184,7 @@ class Topology:
         self._consts = np.array(consts, float)
         self._param_pos = np.array(self._param_pos, int)
         # every R, C, W and L, placeholder or constant: bind() checks it is
-        # positive, since a bound Circuit arrives here with constants only
+        # positive
         self._positive = [key for key in self.slots if key[1] in _POSITIVE_SLOTS]
         self._positive_pos = np.array([self.slots[key] for key in self._positive], int)
 
@@ -304,20 +304,11 @@ class _Compiled:
     def __init__(self, topology: Topology, values: np.ndarray):
         t = self.topology = topology
         self.values = values
-        self.node_index, self.n_nodes, self.n_unknowns = t.node_index, t.n_nodes, t.n_unknowns
-        self.labels, self.vsources, self.isources = t.labels, t.vsources, t.isources
-        self._diag, self._jac_pos, self._jac_val = t._diag, t._jac_pos, t._jac_val
-        self._res_rows, self._res_val = t._res_rows, t._res_val
         w, l = values[t._w_pos], values[t._l_pos]
-        # MOSFETs: (device, card, W, L, d, g, s) with -1 for ground
-        self.mosfets = [
-            (dev, card, wk, lk, di, gi, si)
-            for (dev, card, di, gi, si), wk, lk in zip(t.mosfets, w.tolist(), l.tolist())
-        ]
         # mos_eval's device constants: (polarity, beta, vth, lambda, d, g, s)
         self._mos = [
             (card.polarity, card.kprime * wk / lk, card.vth, card.lam, di, gi, si)
-            for _, card, wk, lk, di, gi, si in self.mosfets
+            for (_, card, di, gi, si), wk, lk in zip(t.mosfets, w.tolist(), l.tolist())
         ]
         self._device_key = self._assembly_key = None
         self.g0 = t._g0_fixed if t._g0_fixed is not None else t._g0.apply(1.0 / values[t._r_pos])
@@ -347,7 +338,7 @@ class _Compiled:
         if key != self._assembly_key:
             j = self.g0.copy()
             if gmin > 0.0:
-                j.reshape(-1)[self._diag] += gmin
+                j.reshape(-1)[self.topology._diag] += gmin
             f = j @ x - b
             self.stamp_mosfets(x, j, f)
             self._assembly_key, self._assembly = key, (_read_only(f), _read_only(j))
@@ -373,10 +364,10 @@ class _Compiled:
         `mat` and, when `f` is given, its drain current to the KCL residual.
         `ufunc.at` adds in index order, so each entry gets the same sum as
         one `+=` per stamp entry."""
-        vals = self._device_values(x)
-        np.add.at(mat.reshape(-1), self._jac_pos, vals[self._jac_val])
+        t, vals = self.topology, self._device_values(x)
+        np.add.at(mat.reshape(-1), t._jac_pos, vals[t._jac_val])
         if f is not None:
-            np.add.at(f, self._res_rows, vals[self._res_val])
+            np.add.at(f, t._res_rows, vals[t._res_val])
 
     def _solve_linear(self, j: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         # the LAPACK routines behind scipy.linalg.lu_factor / lu_solve; an
@@ -386,10 +377,10 @@ class _Compiled:
         diag = np.abs(lu.diagonal())
         floor = diag.max() * 1e-14
         if not diag.min() > floor:
-            raise SingularMatrix(self.labels[int(np.argmax(diag <= floor))])
+            raise SingularMatrix(self.topology.labels[int(np.argmax(diag <= floor))])
         dx, _ = dgetrs(lu, piv, rhs)
         if not np.isfinite(dx).all():
-            raise SingularMatrix(self.labels[0])
+            raise SingularMatrix(self.topology.labels[0])
         return dx
 
     def newton(
@@ -407,6 +398,7 @@ class _Compiled:
         residual).  `max_iters` defaults to DC_MAX_ITERS."""
         if max_iters is None:
             max_iters = DC_MAX_ITERS
+        n_nodes = self.topology.n_nodes
         x = x0.copy()
         residual = float("inf")
         for it in range(max_iters):
@@ -418,43 +410,31 @@ class _Compiled:
             if residual <= NEWTON_TOL:
                 return x, it, residual
             dx = self._solve_linear(j, -f)
-            nodes = dx[: self.n_nodes]
+            nodes = dx[:n_nodes]
             np.minimum(nodes, DV_MAX, out=nodes)
             np.maximum(nodes, -DV_MAX, out=nodes)
             x += dx
         raise NonConvergence(residual, max_iters, context)
 
 
-def _system(circuit: Circuit | _Compiled, models: dict[str, MosModelCard]) -> _Compiled:
-    """A bound system as it is; a Circuit compiled, then bound to no parameters.
-
-    A bound system carries the model cards its Topology was compiled with,
-    so `models` is read only for a Circuit."""
-    if isinstance(circuit, _Compiled):
-        return circuit
-    return Topology(circuit, models).bind({})
-
-
-def _linearisation_point(circuit: Circuit | _Compiled, models: dict[str, MosModelCard],
-                         dc: DcSolution):
-    """The bound system and its DC solution vector."""
-    comp = _system(circuit, models)
-    x = np.zeros(comp.n_unknowns)
-    for net, i in comp.node_index.items():
+def _linearisation_point(comp: _Compiled, dc: DcSolution) -> np.ndarray:
+    """The DC solution vector of bound system `comp`."""
+    t = comp.topology
+    x = np.zeros(t.n_unknowns)
+    for net, i in t.node_index.items():
         if i >= 0:
             x[i] = dc.node_voltages[net]
-    for k, v in enumerate(comp.vsources):
-        x[comp.n_nodes + k] = dc.branch_currents[v.id]
-    return comp, x
+    for k, v in enumerate(t.vsources):
+        x[t.n_nodes + k] = dc.branch_currents[v.id]
+    return x
 
 
-def solve_dc(circuit: Circuit | _Compiled, models: dict[str, MosModelCard]) -> DcSolution:
+def solve_dc(system: _Compiled) -> DcSolution:
     """DC operating point via the Newton convergence ladder.
 
-    `circuit` is a numeric Circuit or a Topology bound to a point
-    (netlist.bind_parameters), which is solved without compiling again."""
-    comp = _system(circuit, models)
-    zeros = np.zeros(comp.n_unknowns)
+    `system` is a Topology bound to a point: `Topology(circuit,
+    models).bind(point)` or netlist.bind_parameters."""
+    zeros = np.zeros(system.topology.n_unknowns)
     last_error: NonConvergence | SingularMatrix | None = None
 
     def polished(x: np.ndarray, iters: int, residual: float):
@@ -462,7 +442,7 @@ def solve_dc(circuit: Circuit | _Compiled, models: dict[str, MosModelCard]) -> D
         # by gmin (e.g. capacitor-only nets) keep the shunted solution,
         # whose device-KCL error is bounded by GMIN * |v| << NEWTON_TOL
         try:
-            x2, it2, res2 = comp.newton(x, comp.b_dc, context="gmin polish")
+            x2, it2, res2 = system.newton(x, system.b_dc, context="gmin polish")
             return x2, iters + it2, res2
         except (NonConvergence, SingularMatrix):
             return x, iters, residual
@@ -472,17 +452,17 @@ def solve_dc(circuit: Circuit | _Compiled, models: dict[str, MosModelCard]) -> D
     # circuit it returns the exact solution in one step, whereas the
     # gmin rung's polish accepts a shunted answer off by ~gmin * |v|.
     def plain():
-        return comp.newton(zeros, comp.b_dc, context="plain Newton")
+        return system.newton(zeros, system.b_dc, context="plain Newton")
 
     def with_gmin():
-        x, iters, residual = comp.newton(zeros, comp.b_dc, gmin=GMIN, context="gmin Newton")
+        x, iters, residual = system.newton(zeros, system.b_dc, gmin=GMIN, context="gmin Newton")
         return polished(x, iters, residual)
 
     def source_stepping():
         x, total = zeros, 0
         for scale in np.linspace(1.0 / SOURCE_STEPS, 1.0, SOURCE_STEPS):
-            x, iters, residual = comp.newton(
-                x, scale * comp.b_dc, gmin=GMIN,
+            x, iters, residual = system.newton(
+                x, scale * system.b_dc, gmin=GMIN,
                 context=f"source stepping at scale {scale:.2f}",
             )
             total += iters
@@ -497,7 +477,7 @@ def solve_dc(circuit: Circuit | _Compiled, models: dict[str, MosModelCard]) -> D
             continue
         # a kept error's traceback holds this frame: drop it to break the cycle
         last_error = None
-        return _finish_dc(comp, x, iters, residual)
+        return _finish_dc(system, x, iters, residual)
     assert last_error is not None
     try:
         raise last_error
@@ -506,18 +486,19 @@ def solve_dc(circuit: Circuit | _Compiled, models: dict[str, MosModelCard]) -> D
 
 
 def _finish_dc(comp: _Compiled, x: np.ndarray, iters: int, residual: float) -> DcSolution:
+    t = comp.topology
     volts = x.tolist()
     volts.append(0.0)  # index -1 reads ground, as in _device_values
     node_voltages = {"0": 0.0}
-    for net, i in comp.node_index.items():
+    for net, i in t.node_index.items():
         if i >= 0:
             node_voltages[net] = volts[i]
     branch_currents = {
-        v.id: volts[comp.n_nodes + k] for k, v in enumerate(comp.vsources)
+        v.id: volts[t.n_nodes + k] for k, v in enumerate(t.vsources)
     }
     ops = {}
     device_values = comp._device_values(x).tolist()
-    for k, (dev, card, _, _, di, gi, si) in enumerate(comp.mosfets):
+    for k, (dev, card, di, gi, si) in enumerate(t.mosfets):
         vg, vd, vs = volts[gi], volts[di], volts[si]
         i_d, _, gm, gds = device_values[8 * k: 8 * k + 4]
         pol = card.polarity
@@ -537,11 +518,11 @@ def _finish_dc(comp: _Compiled, x: np.ndarray, iters: int, residual: float) -> D
             "region": region,
         }
     power = {}
-    for k, v in enumerate(comp.vsources):
-        dv = volts[comp.node_index[v.terminals[0]]] - volts[comp.node_index[v.terminals[1]]]
-        power[v.id] = abs(dv * volts[comp.n_nodes + k])
-    for s in comp.isources:
-        dv = volts[comp.node_index[s.terminals[0]]] - volts[comp.node_index[s.terminals[1]]]
+    for k, v in enumerate(t.vsources):
+        dv = volts[t.node_index[v.terminals[0]]] - volts[t.node_index[v.terminals[1]]]
+        power[v.id] = abs(dv * volts[t.n_nodes + k])
+    for s in t.isources:
+        dv = volts[t.node_index[s.terminals[0]]] - volts[t.node_index[s.terminals[1]]]
         power[s.id] = abs(dv * comp.value(s.id, "DC"))
     return DcSolution(
         node_voltages=node_voltages,
@@ -568,8 +549,7 @@ def frequency_grid(f_lo: float, f_hi: float, pts_per_decade: int = MIN_PTS_PER_D
 
 
 def solve_ac(
-    circuit: Circuit | _Compiled,
-    models: dict[str, MosModelCard],
+    system: _Compiled,
     dc: DcSolution,
     input_source: str,
     output_net: str,
@@ -577,11 +557,13 @@ def solve_ac(
     f_hi: float,
     pts_per_decade: int = MIN_PTS_PER_DECADE,
 ) -> AcSweep:
-    """Small-signal transfer V(output_net)/AC(input_source) on a log grid."""
-    comp, x_dc = _linearisation_point(circuit, models, dc)
-    if output_net not in comp.node_index:
+    """Small-signal transfer V(output_net)/AC(input_source) on a log grid,
+    linearised at bound system `system`'s DC solution `dc`."""
+    topo = system.topology
+    x_dc = _linearisation_point(system, dc)
+    if output_net not in topo.node_index:
         raise SimulationError(f"unknown output net {output_net!r}")
-    src = comp.topology.devices.get(input_source)
+    src = topo.devices.get(input_source)
     if src is None:
         raise SimulationError(f"unknown input source {input_source!r}")
     if src.kind not in (DeviceKind.VSOURCE, DeviceKind.ISOURCE):
@@ -589,10 +571,10 @@ def solve_ac(
 
     freqs = frequency_grid(f_lo, f_hi, pts_per_decade)
     jw = 2j * np.pi * freqs
-    n = comp.n_unknowns
-    g = comp.g0.copy()
-    comp.stamp_mosfets(x_dc, g)
-    s, t, q, z = qz(g, comp.c_mat, output="complex")
+    n = topo.n_unknowns
+    g = system.g0.copy()
+    system.stamp_mosfets(x_dc, g)
+    s, t, q, z = qz(g, system.c_mat, output="complex")
     diag = s.diagonal()[:, None] + t.diagonal()[:, None] * jw
     if not diag.all():
         raise SingularMatrix("AC system")
@@ -600,9 +582,9 @@ def solve_ac(
     # would be one matrix-vector product, big enough to wake BLAS threads); acc row 0
     # accumulates V(out) = Z[out] y, and row k + 1 holds unknown k
     coef = np.zeros((n + 1, n, 2), complex)
-    coef[0, :, 0], coef[1:, :, 0], coef[1:, :, 1] = -z[comp.node_index[output_net]], s, t
+    coef[0, :, 0], coef[1:, :, 0], coef[1:, :, 1] = -z[topo.node_index[output_net]], s, t
     acc = np.zeros((n + 1, len(freqs)), complex)
-    acc[1:] = (q.conj().T @ comp.source_vector("AC"))[:, None]
+    acc[1:] = (q.conj().T @ system.source_vector("AC"))[:, None]
     u = np.empty((2, len(freqs)), complex)  # y_i and jw * y_i
     for i in range(n - 1, -1, -1):
         np.divide(acc[i + 1], diag[i], out=u[0])
@@ -611,7 +593,7 @@ def solve_ac(
     vout = acc[0]
     if not np.isfinite(vout).all():
         raise SingularMatrix("AC system")
-    ac_in = comp.value(input_source, "AC") if "AC" in src.values else 1.0
+    ac_in = system.value(input_source, "AC") if "AC" in src.values else 1.0
     if ac_in != 0.0:
         transfer = vout / ac_in
     else:
@@ -620,14 +602,14 @@ def solve_ac(
 
 
 def solve_transient(
-    circuit: Circuit | _Compiled,
-    models: dict[str, MosModelCard],
+    system: _Compiled,
     dc: DcSolution,
     stimulus: dict[str, list[tuple[float, float]]],
     t_stop: float,
     dt: float,
 ) -> TransientTrace:
-    """Backward-Euler transient from the DC solution.
+    """Backward-Euler transient of bound system `system` from its DC
+    solution `dc`.
 
     `stimulus` overrides the DC value of named sources with a
     piecewise-linear waveform [(t, value), ...]; unnamed sources hold
@@ -637,17 +619,18 @@ def solve_transient(
         raise ValueError("dt must be > 0")
     if t_stop < dt:
         raise ValueError("t_stop must be >= dt")
-    comp, x = _linearisation_point(circuit, models, dc)
+    topo = system.topology
+    x = _linearisation_point(system, dc)
     # (points, vsource row | None, isource (p, m, dc) | None) per driven source
     drives = []
     for sid, points in stimulus.items():
-        dev = comp.topology.devices.get(sid)
+        dev = topo.devices.get(sid)
         if dev is not None and dev.kind is DeviceKind.VSOURCE:
-            drives.append((points, comp.labels.index(f"I({sid})"), None))
+            drives.append((points, topo.labels.index(f"I({sid})"), None))
         elif dev is not None and dev.kind is DeviceKind.ISOURCE:
-            p = comp.node_index[dev.terminals[0]]
-            m = comp.node_index[dev.terminals[1]]
-            drives.append((points, None, (p, m, comp.value(sid, "DC"))))
+            p = topo.node_index[dev.terminals[0]]
+            m = topo.node_index[dev.terminals[1]]
+            drives.append((points, None, (p, m, system.value(sid, "DC"))))
         else:
             raise SimulationError(f"stimulus target {sid!r} is not an independent source")
 
@@ -657,14 +640,14 @@ def solve_transient(
     # and a step that needs no Newton update then repeats exactly: the
     # waveform has settled
     settle_t = max((points[-1][0] for points, _, _ in drives), default=0.0)
-    c_over_dt = comp.c_mat / dt
-    history = np.empty((n_steps + 1, comp.n_unknowns))
+    c_over_dt = system.c_mat / dt
+    history = np.empty((n_steps + 1, topo.n_unknowns))
     history[0] = x
     b_settled = False
     for k in range(1, n_steps + 1):
         t = k * dt
         if not b_settled:
-            b = comp.b_dc.copy()
+            b = system.b_dc.copy()
             for points, vrow, isrc in drives:
                 val = _pwl_value(points, t)
                 if vrow is not None:
@@ -677,7 +660,7 @@ def solve_transient(
                         b[m] -= base - val
             b_settled = t >= settle_t
         try:
-            x, iters, _ = comp.newton(
+            x, iters, _ = system.newton(
                 x, b, max_iters=TRAN_MAX_ITERS, c_over_dt=c_over_dt, x_prev=history[k - 1]
             )
         except NonConvergence as exc:
@@ -691,7 +674,7 @@ def solve_transient(
         history[k] = x
 
     voltages = {"0": np.zeros(n_steps + 1)}
-    for net, i in comp.node_index.items():
+    for net, i in topo.node_index.items():
         if i >= 0:
             voltages[net] = history[:, i].copy()
     return TransientTrace(times_s=times, node_voltages=voltages)

@@ -105,13 +105,12 @@ def measure(state: WorkflowState, point: dict[str, float], full: bool = True):
     each point only binds its values to that topology.
     """
     bound = bind_parameters(state.topology(), state.space, point)
-    dc = solve_dc(bound, state.model_cards)
+    dc = solve_dc(bound)
     if not full:
         return dc, None, ""
     plan = state.ac_plan
     ac = solve_ac(
         bound,
-        state.model_cards,
         dc,
         plan.input_source,
         plan.output_net,
@@ -126,7 +125,7 @@ def measure(state: WorkflowState, point: dict[str, float], full: bool = True):
         v0 = bound.value(tp.source, "DC")
         stimulus = {tp.source: [(0.0, v0 + tp.step_v)]}
         try:
-            tran = solve_transient(bound, state.model_cards, dc, stimulus, tp.t_stop, tp.dt)
+            tran = solve_transient(bound, dc, stimulus, tp.t_stop, tp.dt)
         except SimulationError as exc:
             note = f"transient failed: {exc}"
     values = extract_metrics(ac, dc, tran, plan.output_net)

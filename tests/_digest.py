@@ -2,10 +2,11 @@
 
 A digest module stores a compact, machine-independent record of one
 command's output at a few seeds: counts and texts exactly, floats to be
-compared within 1e-12 relative.  Run a digest module as a script to print
-its current table, e.g. after a change that moves numerics on purpose:
+compared within 1e-12 relative.  Run this file as a script to print
+every digest table and the work ledger, e.g. after a change that moves
+numerics or work on purpose:
 
-    PYTHONPATH=src python3 tests/test_bo_digest.py
+    PYTHONPATH=src python3 tests/_digest.py
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import yaml
 
 import amsizer.cli
 from amsizer.cli import main
+from amsizer.trace import load_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,6 +38,26 @@ def config_at_seed(source: Path, tmp_path: Path, seed: int) -> Path:
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(cfg, sort_keys=False), encoding="utf-8")
     return path
+
+
+def session_row(source: Path, tmp_path: Path, seed: int):
+    """`amsizer run` at `seed`: (exit code, status, ledger, FoM of every
+    sim_result in order; None for a simulation that was not scored)."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", str(config_at_seed(source, tmp_path, seed))])
+    best = json.loads((tmp_path / "out" / "best_point.json").read_text(encoding="utf-8"))
+    foms = [e.payload.get("fom") for e in load_trace(str(tmp_path / "out" / "trace.jsonl"))
+            if e.kind == "sim_result"]
+    return code, best["status"], best["accounting"], foms
+
+
+def assert_session_row(got, want) -> None:
+    """Exit code, status and ledger exactly; every FoM within 1e-12 relative."""
+    (code, status, ledger, foms), (want_code, want_status, want_ledger, want_foms) = got, want
+    assert (code, status, ledger) == (want_code, want_status, want_ledger)
+    assert [f is None for f in foms] == [f is None for f in want_foms]
+    assert [f for f in foms if f is not None] == pytest.approx(
+        [f for f in want_foms if f is not None], rel=1e-12, abs=0.0)
 
 
 def optimize_row(source: Path, tmp_path: Path, seed: int, algo: str, budget: int):
@@ -74,11 +96,22 @@ def assert_optimize_row(got, want) -> None:
     assert foms == pytest.approx(want_foms, rel=1e-12, abs=0.0)
 
 
-def print_digest(row, seeds, comment: str) -> None:
-    """Print `DIGEST = {seed: row(seed, tmp_path)}` for pasting into a digest module."""
+def print_digest(row, seeds, comment: str, name: str = "DIGEST") -> None:
+    """Print `name = {seed: row(seed, tmp_path)}` for pasting into a digest module."""
     table = {}
     for seed in seeds:
         with tempfile.TemporaryDirectory() as tmp:
             table[seed] = row(seed, Path(tmp))
     print(f"# {comment}")
-    print("DIGEST = " + pprint.pformat(table, width=100, compact=True, sort_dicts=False))
+    print(f"{name} = " + pprint.pformat(table, width=100, compact=True, sort_dicts=False))
+
+
+MODULES = ("test_bo_digest", "test_de_tran_digest", "test_folded_session_digest",
+           "test_two_stage_digest", "test_work_ledger")
+
+if __name__ == "__main__":
+    import importlib
+
+    for module in MODULES:
+        print(f"# --- tests/{module}.py")
+        importlib.import_module(module).print_tables()

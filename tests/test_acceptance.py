@@ -30,7 +30,15 @@ from amsizer.netlist import (
 )
 from amsizer.optimizer import OptimizerRequest, optimize
 from amsizer.schema import SchemaContext, SchemaFailure, enforce_schema
-from amsizer.simulator import AcSweep, DcSolution, SimulationError, solve_ac, solve_dc, solve_transient
+from amsizer.simulator import (
+    AcSweep,
+    DcSolution,
+    SimulationError,
+    Topology,
+    solve_ac,
+    solve_dc,
+    solve_transient,
+)
 from amsizer.state import AcPlan, WorkflowState
 from amsizer.trace import load_trace
 from amsizer.workflow import PHASE2_MAX_CYCLES, PHASE3_MAX_FULL_SIMS, measure
@@ -64,7 +72,7 @@ def test_criterion_1_simulator_matches_analytic_forms():
         "Two-resistor voltage divider\n"
         "V1 in 0 DC 1.0\nR1 in mid 1k\nR2 mid 0 1k\n.end\n"
     )
-    dc = solve_dc(divider, DEFAULT_MODEL_CARDS)
+    dc = solve_dc(Topology(divider, DEFAULT_MODEL_CARDS).bind({}))
     assert abs(dc.node_voltages["mid"] - 0.5) <= 1e-9
 
     # diode-connected NMOS: vgs = vth + sqrt(2 I L / (k' W)) within 1e-6
@@ -74,7 +82,7 @@ def test_criterion_1_simulator_matches_analytic_forms():
         "I1 0 d DC 20u\nM1 d d 0 0 NMOS W=10u L=1u\n.end\n"
     )
     cards = {"NMOS": MosModelCard("NMOS", vth=0.4, kprime=200e-6, lam=0.0)}
-    dc = solve_dc(diode, cards)
+    dc = solve_dc(Topology(diode, cards).bind({}))
     vgs_expected = 0.4 + math.sqrt(2 * 20e-6 * 1e-6 / (200e-6 * 10e-6))
     assert abs(dc.node_voltages["d"] - vgs_expected) <= 1e-6
 
@@ -84,8 +92,9 @@ def test_criterion_1_simulator_matches_analytic_forms():
         "First-order RC low-pass\n"
         f"V1 in 0 DC 0 AC 1\nR1 in out 1k\nC1 out 0 {c_farad:.16e}\n.end\n"
     )
-    dc = solve_dc(rc, DEFAULT_MODEL_CARDS)
-    ac = solve_ac(rc, DEFAULT_MODEL_CARDS, dc, "V1", "out", 1.0, 1e6)
+    rc = Topology(rc, DEFAULT_MODEL_CARDS).bind({})
+    dc = solve_dc(rc)
+    ac = solve_ac(rc, dc, "V1", "out", 1.0, 1e6)
     idx = int(np.argmin(np.abs(ac.freqs_hz - 1e3)))
     assert abs(ac.freqs_hz[idx] - 1e3) < 1e-6  # the grid hits fc exactly
     mag_db = 20 * math.log10(abs(ac.transfer[idx]))
@@ -98,10 +107,9 @@ def test_criterion_1_simulator_matches_analytic_forms():
         "First-order RC low-pass\n"
         "V1 in 0 DC 0\nR1 in out 1k\nC1 out 0 1u\n.end\n"
     )
-    dc = solve_dc(rc_slow, DEFAULT_MODEL_CARDS)
-    tran = solve_transient(
-        rc_slow, DEFAULT_MODEL_CARDS, dc, {"V1": [(0.0, 1.0)]}, t_stop=1e-3, dt=1e-6,
-    )
+    rc_slow = Topology(rc_slow, DEFAULT_MODEL_CARDS).bind({})
+    dc = solve_dc(rc_slow)
+    tran = solve_transient(rc_slow, dc, {"V1": [(0.0, 1.0)]}, t_stop=1e-3, dt=1e-6)
     v_at_tau = float(tran.node_voltages["out"][-1])
     assert abs(tran.times_s[-1] - 1e-3) < 1e-9
     assert abs(v_at_tau - (1 - math.exp(-1))) <= 1e-3
@@ -421,12 +429,14 @@ def test_criterion_8_property_suites():
         ("Two-resistor voltage divider\nV1 in 0 DC 1.0\nR1 in mid 1k\nR2 mid 0 1k\n.end\n", DEFAULT_MODEL_CARDS),
         ((DATA / "two_stage.sp").read_text(), DEFAULT_MODEL_CARDS),
     ):
-        circuit = parse_netlist(path)
-        if circuit.params:
+        topology = Topology(parse_netlist(path), cards)
+        if topology.params:
             best = {"W1": 8e-6, "W2": 8e-6, "W3": 1e-5, "W4": 1e-5, "W5": 6.4e-6,
                     "W6": 4e-5, "W7": 1.28e-5, "W8": 3.2e-6, "L": 1e-6, "CC": 3e-12}
-            circuit = bind_parameters(circuit, TWO_STAGE_SPACE, best)
-        dc = solve_dc(circuit, cards)
+            system = bind_parameters(topology, TWO_STAGE_SPACE, best)
+        else:
+            system = topology.bind({})
+        dc = solve_dc(system)
         assert dc.residual_a <= 1e-9
 
     # schema-retry ladder: 3 attempts total, then SchemaFailure

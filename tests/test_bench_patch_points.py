@@ -58,9 +58,9 @@ def test_optimize_reaches_workflow_solve_ac(monkeypatch, capsys):
         solved.append(solve_dc(*args, **kwargs))
         return solved[-1]
 
-    def counted_ac(circuit, models, dc, *args, **kwargs):
+    def counted_ac(system, dc, *args, **kwargs):
         swept.append(dc)
-        return solve_ac(circuit, models, dc, *args, **kwargs)
+        return solve_ac(system, dc, *args, **kwargs)
 
     monkeypatch.setattr(amsizer.workflow, "solve_dc", counted_dc)
     monkeypatch.setattr(amsizer.workflow, "solve_ac", counted_ac)
@@ -76,14 +76,14 @@ def test_optimize_reaches_workflow_solve_transient(monkeypatch, capsys):
     solve_ac, solve_transient = amsizer.workflow.solve_ac, amsizer.workflow.solve_transient
     swept, stepped = [], []
 
-    def counted_ac(circuit, models, dc, *args, **kwargs):
-        ac = solve_ac(circuit, models, dc, *args, **kwargs)
+    def counted_ac(system, dc, *args, **kwargs):
+        ac = solve_ac(system, dc, *args, **kwargs)
         swept.append(dc)  # only once DC and AC have both succeeded
         return ac
 
-    def counted_transient(circuit, models, dc, *args, **kwargs):
+    def counted_transient(system, dc, *args, **kwargs):
         stepped.append(dc)
-        return solve_transient(circuit, models, dc, *args, **kwargs)
+        return solve_transient(system, dc, *args, **kwargs)
 
     monkeypatch.setattr(amsizer.workflow, "solve_ac", counted_ac)
     monkeypatch.setattr(amsizer.workflow, "solve_transient", counted_transient)

@@ -36,6 +36,10 @@ def test_bo_digest(seed, tmp_path):
     assert_optimize_row(_row(seed, tmp_path), DIGEST[seed])
 
 
-if __name__ == "__main__":
+def print_tables():
     print_digest(_row, sorted(DIGEST), "seed -> (budget_used, failed_evaluations, best_fom, "
                  "FoM of every evaluation in order)")
+
+
+if __name__ == "__main__":
+    print_tables()

@@ -376,3 +376,27 @@ class TestDiagnostics:
 
     def test_seed_must_be_integer(self, tmp_path):
         self.check(tmp_path, "config.seed: expected an integer", extra="seed: 1.5\n")
+
+    @pytest.mark.parametrize("path, mutate, shown", [
+        ("analysis.ac.f_hi", lambda c: c["analysis"]["ac"].update(f_hi=float("inf")), "inf"),
+        ("model_cards.NMOS.vth", lambda c: c.update(model_cards={"NMOS": {"vth": float("nan")}}),
+         "nan"),
+        ("model_cards.NMOS.lam", lambda c: c.update(model_cards={"NMOS": {"lam": float("inf")}}),
+         "inf"),
+        ("analysis.tran.step_v", lambda c: c["analysis"].update(tran={
+            "source": "VIN", "step_v": float("nan"), "t_stop": 1e-6, "dt": 1e-9}), "nan"),
+        ("parameters[0].hi", lambda c: c["parameters"][0].update(hi=float("inf")), "inf"),
+        ("analysis.ac.f_lo", lambda c: c["analysis"]["ac"].update(f_lo="nan"), "nan"),
+    ], ids=["f_hi", "vth", "lam", "step_v", "hi", "f_lo_string"])
+    def test_non_finite_number_is_rejected(self, tmp_path, path, mutate, shown):
+        # a NaN or an infinity once loaded, and then failed every evaluation
+        # or died in the frequency grid
+        cfg = yaml.safe_load((DATA / "two_stage_run.yaml").read_text())
+        cfg["netlist"] = str(DATA / "two_stage.sp")
+        cfg["backend"]["scenario"] = str(DATA / "two_stage_scenario.yaml")
+        mutate(cfg)
+        run = tmp_path / "run.yaml"
+        run.write_text(yaml.safe_dump(cfg))
+        with pytest.raises(ConfigError) as err:
+            load_config(str(run))
+        assert str(err.value) == f"{path}: expected a finite number, got {shown}"

@@ -18,7 +18,7 @@ from amsizer.netlist import (
     parse_netlist,
     serialize_netlist,
 )
-from amsizer.simulator import solve_ac, solve_dc
+from amsizer.simulator import Topology, solve_ac, solve_dc
 from amsizer.state import AcPlan, BudgetLedger, HistoryEntry, WorkflowState
 from amsizer.trace import TraceLog
 from amsizer.workflow import Workflow
@@ -57,9 +57,9 @@ def make_state(simulated=False) -> WorkflowState:
     state.matching_groups = [MatchingGroup(kind="equal", members=("W1", "RL"))] if False else []
     entry = HistoryEntry(point=dict(POINT), source="initial_designer")
     if simulated:
-        bound = bind_parameters(circuit, space, POINT)
-        dc = solve_dc(bound, DEFAULT_MODEL_CARDS)
-        ac = solve_ac(bound, DEFAULT_MODEL_CARDS, dc, "VIN", "out", 1.0, 1e9, 20)
+        bound = bind_parameters(Topology(circuit, DEFAULT_MODEL_CARDS), space, POINT)
+        dc = solve_dc(bound)
+        ac = solve_ac(bound, dc, "VIN", "out", 1.0, 1e9, 20)
         entry.dc = dc
         entry.report = evaluate(extract_metrics(ac, dc), list(state.specs))
     state.sizing_history.append(entry)

@@ -18,7 +18,7 @@ from amsizer.metrics import (
     validate_specs,
 )
 from amsizer.netlist import parse_netlist
-from amsizer.simulator import AcSweep, TransientTrace, solve_ac, solve_dc
+from amsizer.simulator import AcSweep, Topology, TransientTrace, solve_ac, solve_dc
 
 
 def one_pole_sweep(a0=100.0, fp=1e3, f_lo=1e-3, f_hi=1e7, ppd=40):
@@ -129,9 +129,9 @@ def _dc_stub(power=None):
 
 
 def test_power_from_divider():
-    c = parse_netlist("V1 in 0 1\nR1 in mid 1k\nR2 mid 0 1k\n")
-    dc = solve_dc(c, {})
-    ac = solve_ac(c, {}, dc, "V1", "mid", 100.0, 100.0)
+    c = Topology(parse_netlist("V1 in 0 1\nR1 in mid 1k\nR2 mid 0 1k\n"), {}).bind({})
+    dc = solve_dc(c)
+    ac = solve_ac(c, dc, "V1", "mid", 100.0, 100.0)
     values = extract_metrics(ac, dc)
     assert values["power_w"] == pytest.approx(0.5e-3, abs=1e-12)
 

@@ -161,13 +161,25 @@ def _space(**ranges):
     )
 
 
+def _constants(circuit, point):
+    """`circuit` holding `point`'s values as constants, as no parsed netlist
+    can where a value is not positive or not a number."""
+    return Circuit(tuple(
+        Device(d.id, d.kind, d.terminals, {
+            slot: point[v.name] if isinstance(v, Param) else v for slot, v in d.values.items()
+        }, model=d.model)
+        for d in circuit.devices
+    ), circuit.nets, (), circuit.title)
+
+
 def test_bind_parameters_substitutes():
     c = parse_netlist("M1 d g 0 0 NMOS W={W1} L={L1}\nV1 d 0 1\n")
     space = _space(W1=(1e-6, 100e-6), L1=(0.18e-6, 5e-6))
-    bound = bind_parameters(c, space, {"W1": 10e-6, "L1": 1e-6})
-    assert bound.params == ()
-    assert _device(bound, "M1").values["W"] == 10e-6
-    assert _device(bound, "M1").values["L"] == 1e-6
+    bound = bind_parameters(Topology(c, DEFAULT_MODEL_CARDS), space, {"W1": 10e-6, "L1": 1e-6})
+    # the compiled topology keeps its placeholders; the point fills the values
+    assert bound.topology.params == ("W1", "L1")
+    assert bound.value("M1", "W") == 10e-6
+    assert bound.value("M1", "L") == 1e-6
     # original untouched
     assert c.params == ("W1", "L1")
 
@@ -176,7 +188,7 @@ def test_bind_missing_parameter():
     c = parse_netlist("M1 d g 0 0 NMOS W={W1} L={L1}\nV1 d 0 1\n")
     space = _space(W1=(1e-6, 100e-6), L1=(0.18e-6, 5e-6))
     with pytest.raises(BindingError) as exc:
-        bind_parameters(c, space, {"W1": 10e-6})
+        bind_parameters(Topology(c, DEFAULT_MODEL_CARDS), space, {"W1": 10e-6})
     assert "L1" in str(exc.value)
 
 
@@ -184,7 +196,7 @@ def test_bind_out_of_range():
     c = parse_netlist("M1 d g 0 0 NMOS W={W1} L={L1}\nV1 d 0 1\n")
     space = _space(W1=(1e-6, 100e-6), L1=(0.18e-6, 5e-6))
     with pytest.raises(BindingError) as exc:
-        bind_parameters(c, space, {"W1": 200e-6, "L1": 1e-6})
+        bind_parameters(Topology(c, DEFAULT_MODEL_CARDS), space, {"W1": 200e-6, "L1": 1e-6})
     assert "W1" in str(exc.value)
 
 
@@ -212,13 +224,13 @@ def test_bind_rejects_a_non_positive_value(name, value, message):
     point = {**ALL_SLOTS_OK, name: value}
     with pytest.raises(BindingError, match=f"^{message}$"):
         bind_parameters(Topology(c, DEFAULT_MODEL_CARDS), space, point)
-    # a bound Circuit carries the value as a constant, checked alike
+    # a circuit that holds the value as a constant is checked alike
     with pytest.raises(BindingError, match=f"^{message}$"):
-        solve_dc(c.bind(point), DEFAULT_MODEL_CARDS)
+        solve_dc(Topology(_constants(c, point), DEFAULT_MODEL_CARDS).bind({}))
 
 
 def test_bind_rejects_a_nan_value():
-    c = parse_netlist(ALL_SLOTS).bind({**ALL_SLOTS_OK, "CL": math.nan})
+    c = _constants(parse_netlist(ALL_SLOTS), {**ALL_SLOTS_OK, "CL": math.nan})
     with pytest.raises(BindingError, match="^C1: C = nan must be strictly positive$"):
         Topology(c, DEFAULT_MODEL_CARDS).bind({})
 
@@ -227,7 +239,7 @@ def test_bind_space_param_not_in_circuit():
     c = parse_netlist("R1 a 0 {R1v}\nV1 a 0 1\n")
     space = _space(R1v=(1.0, 1e6), ghost=(0.0, 1.0))
     with pytest.raises(BindingError) as exc:
-        bind_parameters(c, space, {"R1v": 100.0, "ghost": 0.5})
+        bind_parameters(Topology(c, {}), space, {"R1v": 100.0, "ghost": 0.5})
     assert "ghost" in str(exc.value)
 
 

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
+from amsizer.agents import AGENTS
 from amsizer.netlist import ParameterSpace, SpaceEntry
 from amsizer.schema import (
-    SCHEMA_IDS,
     EnforcedOutput,
     SchemaContext,
     SchemaFailure,
@@ -60,8 +60,8 @@ class TestParseStructured:
 
 class TestValidators:
     def test_every_schema_has_a_hint(self):
-        for sid in SCHEMA_IDS:
-            assert "{" in schema_hint(sid)
+        for agent in AGENTS.values():
+            assert "{" in schema_hint(agent.output_schema)
 
     def test_unknown_schema_id(self, ctx):
         with pytest.raises(KeyError):

@@ -11,7 +11,10 @@ from amsizer.config import build_state, load_config
 from amsizer.metrics import extract_metrics
 from amsizer.mosfet import DEFAULT_MODEL_CARDS, MosModelCard
 from amsizer.netlist import (
+    Circuit,
+    Device,
     DeviceKind,
+    Param,
     ParameterSpace,
     SpaceEntry,
     bind_parameters,
@@ -32,6 +35,11 @@ def _device(circuit, dev_id):
     return {d.id: d for d in circuit.devices}[dev_id]
 
 
+def _bound(circuit, models):
+    """The MNA system of a circuit without placeholders."""
+    return simulator.Topology(circuit, models).bind({})
+
+
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 RUNS = ["two_stage_run.yaml", "folded_cascode_run.yaml"]
@@ -42,8 +50,8 @@ F_CORNER = 1.0 / (2 * math.pi * 1e3 * 1e-6)  # 159.155 Hz
 
 def test_rc_lowpass_at_corner():
     c = parse_netlist(RC_TEXT)
-    dc = solve_dc(c, {})
-    ac = solve_ac(c, {}, dc, "V1", "out", F_CORNER, F_CORNER)
+    dc = solve_dc(_bound(c, {}))
+    ac = solve_ac(_bound(c, {}), dc, "V1", "out", F_CORNER, F_CORNER)
     assert len(ac.freqs_hz) == 1
     h = ac.transfer[0]
     assert 20 * math.log10(abs(h)) == pytest.approx(-3.0103, abs=0.01)
@@ -52,8 +60,8 @@ def test_rc_lowpass_at_corner():
 
 def test_rc_lowpass_full_sweep_matches_closed_form():
     c = parse_netlist(RC_TEXT)
-    dc = solve_dc(c, {})
-    ac = solve_ac(c, {}, dc, "V1", "out", 1.0, 1e5)
+    dc = solve_dc(_bound(c, {}))
+    ac = solve_ac(_bound(c, {}), dc, "V1", "out", 1.0, 1e5)
     expected = 1.0 / (1.0 + 1j * ac.freqs_hz / F_CORNER)
     assert np.allclose(ac.transfer, expected, rtol=1e-9)
 
@@ -91,9 +99,9 @@ def test_frequency_grid_is_cached_read_only_and_bit_identical(f_lo, f_hi, ppd):
 
 def test_shared_sweep_frequencies_cannot_be_mutated():
     c = parse_netlist(RC_TEXT)
-    dc = solve_dc(c, {})
-    a = solve_ac(c, {}, dc, "V1", "out", 1.0, 1e5)
-    b = solve_ac(c, {}, dc, "V1", "out", 1.0, 1e5)
+    dc = solve_dc(_bound(c, {}))
+    a = solve_ac(_bound(c, {}), dc, "V1", "out", 1.0, 1e5)
+    b = solve_ac(_bound(c, {}), dc, "V1", "out", 1.0, 1e5)
     assert a.freqs_hz is b.freqs_hz
     with pytest.raises(ValueError):
         a.freqs_hz *= 2.0
@@ -116,11 +124,11 @@ def test_common_source_low_frequency_gain():
     )
     c = parse_netlist(text)
     models = {"NMOS": DEFAULT_MODEL_CARDS["NMOS"]}
-    dc = solve_dc(c, models)
+    dc = solve_dc(_bound(c, models))
     op = dc.transistor_ops["M1"]
     assert op["region"] == "saturation"
     expected = op["gm_S"] / (op["gds_S"] + 1.0 / 5e3)
-    ac = solve_ac(c, models, dc, "Vin", "d", 1.0, 1e3)
+    ac = solve_ac(_bound(c, models), dc, "Vin", "d", 1.0, 1e3)
     assert abs(ac.transfer[0]) == pytest.approx(expected, rel=0.01)
     # inverting stage: phase near 180 degrees at low frequency
     assert abs(math.degrees(np.angle(ac.transfer[0]))) == pytest.approx(180.0, abs=1.0)
@@ -144,12 +152,12 @@ def test_ota_small_signal_gain_matches_dc_difference():
     """The AC conductance stamp agrees with differentiating the DC solve."""
     models = dict(DEFAULT_MODEL_CARDS)
     c = parse_netlist(_five_t_ota(0.9))
-    dc = solve_dc(c, models)
+    dc = solve_dc(_bound(c, models))
     assert all(op["region"] == "saturation" for op in dc.transistor_ops.values())
-    ac = solve_ac(c, models, dc, "Vip", "out", 1.0, 10.0)
+    ac = solve_ac(_bound(c, models), dc, "Vip", "out", 1.0, 10.0)
     delta = 1e-4
-    v_hi = solve_dc(parse_netlist(_five_t_ota(0.9 + delta)), models).node_voltages["out"]
-    v_lo = solve_dc(parse_netlist(_five_t_ota(0.9 - delta)), models).node_voltages["out"]
+    v_hi = solve_dc(_bound(parse_netlist(_five_t_ota(0.9 + delta)), models)).node_voltages["out"]
+    v_lo = solve_dc(_bound(parse_netlist(_five_t_ota(0.9 - delta)), models)).node_voltages["out"]
     dc_gain = (v_hi - v_lo) / (2 * delta)
     assert dc_gain > 10.0
     assert ac.transfer[0].real == pytest.approx(dc_gain, rel=0.01)
@@ -159,10 +167,10 @@ def test_ota_small_signal_gain_matches_dc_difference():
 def test_ac_linearity_in_input_magnitude():
     c1 = parse_netlist(RC_TEXT)
     c2 = parse_netlist(RC_TEXT.replace("AC 1", "AC 2"))
-    dc1 = solve_dc(c1, {})
-    dc2 = solve_dc(c2, {})
-    ac1 = solve_ac(c1, {}, dc1, "V1", "out", 10.0, 1e4)
-    ac2 = solve_ac(c2, {}, dc2, "V1", "out", 10.0, 1e4)
+    dc1 = solve_dc(_bound(c1, {}))
+    dc2 = solve_dc(_bound(c2, {}))
+    ac1 = solve_ac(_bound(c1, {}), dc1, "V1", "out", 10.0, 1e4)
+    ac2 = solve_ac(_bound(c2, {}), dc2, "V1", "out", 10.0, 1e4)
     # output doubles; normalized transfer is identical
     vout1 = ac1.transfer * 1.0
     vout2 = ac2.transfer * 2.0
@@ -172,8 +180,8 @@ def test_ac_linearity_in_input_magnitude():
 
 def test_ac_missing_ac_value_defaults_to_unity():
     c = parse_netlist("V1 in 0 DC 0\nR1 in out 1k\nC1 out 0 1u\n")
-    dc = solve_dc(c, {})
-    ac = solve_ac(c, {}, dc, "V1", "out", F_CORNER, F_CORNER)
+    dc = solve_dc(_bound(c, {}))
+    ac = solve_ac(_bound(c, {}), dc, "V1", "out", F_CORNER, F_CORNER)
     # no AC stimulus anywhere: output is zero
     assert abs(ac.transfer[0]) == 0.0
 
@@ -181,16 +189,16 @@ def test_ac_missing_ac_value_defaults_to_unity():
 def test_ac_current_source_input():
     # 1 A AC into a 1k resistor reads 1000 V/A transimpedance
     c = parse_netlist("I1 0 out DC 0 AC 1\nR1 out 0 1k\n")
-    dc = solve_dc(c, {})
-    ac = solve_ac(c, {}, dc, "I1", "out", 100.0, 100.0)
+    dc = solve_dc(_bound(c, {}))
+    ac = solve_ac(_bound(c, {}), dc, "I1", "out", 100.0, 100.0)
     assert ac.transfer[0] == pytest.approx(1000.0)
 
 
 def test_ac_unknown_output_net():
     c = parse_netlist(RC_TEXT)
-    dc = solve_dc(c, {})
+    dc = solve_dc(_bound(c, {}))
     with pytest.raises(Exception) as exc:
-        solve_ac(c, {}, dc, "V1", "nope", 1.0, 10.0)
+        solve_ac(_bound(c, {}), dc, "V1", "nope", 1.0, 10.0)
     assert "nope" in str(exc.value)
 
 
@@ -208,10 +216,10 @@ def test_ac_cgs_creates_input_pole():
         "R1 vdd d 1k\n"
     )
     c = parse_netlist(text)
-    dc = solve_dc(c, {"NMOS": card})
+    dc = solve_dc(_bound(c, {"NMOS": card}))
     f_pole = 1.0 / (2 * math.pi * rg * cgs)
-    ac = solve_ac(c, {"NMOS": card}, dc, "Vin", "d", f_pole, f_pole)
-    lo = solve_ac(c, {"NMOS": card}, dc, "Vin", "d", f_pole / 1e3, f_pole / 1e3)
+    ac = solve_ac(_bound(c, {"NMOS": card}), dc, "Vin", "d", f_pole, f_pole)
+    lo = solve_ac(_bound(c, {"NMOS": card}), dc, "Vin", "d", f_pole / 1e3, f_pole / 1e3)
     ratio = abs(ac.transfer[0]) / abs(lo.transfer[0])
     assert ratio == pytest.approx(1 / math.sqrt(2), rel=1e-3)
 
@@ -220,9 +228,9 @@ def test_floating_resistor_pair_is_singular():
     # x and y connect only to each other: G and C share a null vector, so
     # the pencil is singular at every frequency
     c = parse_netlist(RC_TEXT + "R2 x y 1k\n")
-    dc = solve_dc(c, {})
+    dc = solve_dc(_bound(c, {}))
     with pytest.raises(SingularMatrix) as exc:
-        solve_ac(c, {}, dc, "V1", "out", 1.0, 1e5)
+        solve_ac(_bound(c, {}), dc, "V1", "out", 1.0, 1e5)
     assert exc.value.unknown == "AC system"
 
 
@@ -239,9 +247,9 @@ def test_non_finite_transfer_is_singular(monkeypatch):
 
     monkeypatch.setattr(simulator, "qz", nearly_singular)
     c = parse_netlist(RC_TEXT)
-    dc = solve_dc(c, {})
+    dc = solve_dc(_bound(c, {}))
     with pytest.raises(SingularMatrix) as exc:
-        solve_ac(c, {}, dc, "V1", "out", 1.0, 1e5)
+        solve_ac(_bound(c, {}), dc, "V1", "out", 1.0, 1e5)
     assert exc.value.unknown == "AC system"
 
 
@@ -257,14 +265,14 @@ def _operating_points(run, seed, count, first=None):
     """(circuit, dc) at `first` and then seeded random points, the first
     `count` of them whose DC converges."""
     cfg = load_config(DATA / run)
-    base = parse_netlist(cfg.netlist_text)
+    base = cfg.circuit
     rng = random.Random(seed)
     found = []
     while len(found) < count:
         point = first if first is not None and not found else _random_point(cfg.space, rng)
-        circuit = base.bind(point)
+        circuit = _substitute(base, point)
         try:
-            found.append((circuit, solve_dc(circuit, cfg.model_cards)))
+            found.append((circuit, solve_dc(_bound(circuit, cfg.model_cards))))
         except SimulationError:
             continue
     return cfg, found
@@ -272,7 +280,8 @@ def _operating_points(run, seed, count, first=None):
 
 def _ac_system(circuit, models, dc):
     """G (linearised at dc), C, the AC right-hand side and the compiled circuit."""
-    comp, x = simulator._linearisation_point(circuit, models, dc)
+    comp = _bound(circuit, models)
+    x = simulator._linearisation_point(comp, dc)
     g = comp.g0.copy()
     comp.stamp_mosfets(x, g)
     return g, comp.c_mat, comp.source_vector("AC"), comp
@@ -287,7 +296,8 @@ def _stacked_solve_ac(circuit, models, dc, plan):
     rhs = np.broadcast_to(b.astype(complex)[:, None], (len(freqs), len(b), 1))
     xs = np.linalg.solve(a, rhs)[:, :, 0]
     ac_in = _device(circuit, plan.input_source).values.get("AC", 1.0)
-    return AcSweep(freqs_hz=freqs, transfer=xs[:, comp.node_index[plan.output_net]] / ac_in)
+    return AcSweep(freqs_hz=freqs,
+                   transfer=xs[:, comp.topology.node_index[plan.output_net]] / ac_in)
 
 
 @pytest.mark.parametrize("run", RUNS)
@@ -302,7 +312,7 @@ def test_transfer_matches_40_digit_lu(run):
     try:
         for circuit, dc in points:
             g, c, b, comp = _ac_system(circuit, cfg.model_cards, dc)
-            out = comp.node_index[plan.output_net]
+            out = comp.topology.node_index[plan.output_net]
             ac_in = _device(circuit, plan.input_source).values.get("AC", 1.0)
             n = len(b)
             for f in (1.0, 1e3, 1e6, 1e9):
@@ -312,7 +322,8 @@ def test_transfer_matches_40_digit_lu(run):
                     for j in range(n):
                         a[i, j] = mpmath.mpc(g[i, j], w * mpmath.mpf(c[i, j]))
                 exact = complex(mpmath.lu_solve(a, mpmath.matrix(b.tolist()))[out] / ac_in)
-                h = solve_ac(circuit, cfg.model_cards, dc, plan.input_source, plan.output_net, f, f)
+                h = solve_ac(_bound(circuit, cfg.model_cards), dc, plan.input_source,
+                             plan.output_net, f, f)
                 tol = 1e-10 if abs(exact) >= 1e-2 else 1e-6
                 assert abs(h.transfer[0] - exact) <= tol * abs(exact), (f, exact)
                 magnitudes.append(abs(exact))
@@ -328,7 +339,7 @@ def test_metrics_match_stacked_solve(run):
     crossings = 0
     for circuit, dc in points:
         ac = solve_ac(
-            circuit, cfg.model_cards, dc, plan.input_source, plan.output_net,
+            _bound(circuit, cfg.model_cards), dc, plan.input_source, plan.output_net,
             plan.f_lo, plan.f_hi, plan.pts_per_decade,
         )
         got = extract_metrics(ac, dc)
@@ -368,6 +379,19 @@ def test_measure_compiles_the_topology_once_per_state(monkeypatch):
             assert len(compiles) == run + 1
         assert measured > 0
         assert state.topology() is compiles[-1]
+
+
+def _substitute(circuit, point):
+    """`circuit` with every placeholder replaced by its value in `point`: the
+    former per-point bind, kept as the reference a bound topology must match."""
+    devices = tuple(
+        Device(d.id, d.kind, d.terminals, {
+            slot: float(point[v.name]) if isinstance(v, Param) else v
+            for slot, v in d.values.items()
+        }, model=d.model)
+        for d in circuit.devices
+    )
+    return Circuit(devices, circuit.nets, (), circuit.title)
 
 
 def _reference_system(circuit, models):
@@ -461,26 +485,27 @@ def test_bound_topology_matches_per_point_compile_bit_for_bit(run):
     else:
         path = ROOT / "perfbench" / "configs" / run if run == "de_tran_run.yaml" else DATA / run
         cfg = load_config(path)
-        base, models, space = parse_netlist(cfg.netlist_text), cfg.model_cards, cfg.space
+        base, models, space = cfg.circuit, cfg.model_cards, cfg.space
     topology = simulator.Topology(base, models)
     rng = random.Random(23)
     for point in [space.midpoint()] + [_random_point(space, rng) for _ in range(20)]:
         comp = bind_parameters(topology, space, point)
-        circuit = base.bind(point)
+        circuit = _substitute(base, point)
         ref = _reference_system(circuit, models)
         got = (comp.g0, comp.c_mat, comp.b_dc, comp.source_vector("AC"))
         for name, a, b in zip(("g0", "c_mat", "b_dc", "ac"), got, ref):
             assert a.tobytes() == b.tobytes(), name
         # every MOSFET, numeric ones such as the folded cascode's M9 included
         wl = [(d.id, d.value("W"), d.value("L")) for d in circuit.mosfets()]
-        assert [(m[0].id, m[2], m[3]) for m in comp.mosfets] == wl
+        assert [(d.id, comp.value(d.id, "W"), comp.value(d.id, "L"))
+                for d, *_ in topology.mosfets] == wl
 
 
 def test_reused_compilation_is_byte_identical():
     # a topology bound per point solves to the bits of a circuit compiled per point
     cfg = load_config(DATA / "two_stage_run.yaml")
     plan = build_state(cfg).ac_plan
-    base = parse_netlist(cfg.netlist_text)
+    base = cfg.circuit
     topology = simulator.Topology(base, cfg.model_cards)
     rng = random.Random(9)
     args = (plan.input_source, plan.output_net, plan.f_lo, plan.f_hi, plan.pts_per_decade)
@@ -488,17 +513,17 @@ def test_reused_compilation_is_byte_identical():
     compared = 0
     while compared < 3:
         point = _random_point(cfg.space, rng)
-        circuit, bound = base.bind(point), topology.bind(point)
+        circuit, bound = _substitute(base, point), topology.bind(point)
         try:
-            dc = solve_dc(circuit, cfg.model_cards)
+            dc = solve_dc(_bound(circuit, cfg.model_cards))
         except SimulationError:
             continue
-        assert solve_dc(bound, cfg.model_cards) == dc
-        rebuilt = solve_ac(circuit, cfg.model_cards, dc, *args)
-        reused = solve_ac(bound, cfg.model_cards, dc, *args)
+        assert solve_dc(bound) == dc
+        rebuilt = solve_ac(_bound(circuit, cfg.model_cards), dc, *args)
+        reused = solve_ac(bound, dc, *args)
         assert reused.transfer.tobytes() == rebuilt.transfer.tobytes()
-        a = simulator.solve_transient(bound, cfg.model_cards, dc, stim, 2e-7, 1e-9)
-        b = simulator.solve_transient(circuit, cfg.model_cards, dc, stim, 2e-7, 1e-9)
+        a = simulator.solve_transient(bound, dc, stim, 2e-7, 1e-9)
+        b = simulator.solve_transient(_bound(circuit, cfg.model_cards), dc, stim, 2e-7, 1e-9)
         for net, v in a.node_voltages.items():
             assert v.tobytes() == b.node_voltages[net].tobytes()
         compared += 1

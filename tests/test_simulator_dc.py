@@ -26,6 +26,11 @@ NMOS_IDEAL = MosModelCard("NMOS", vth=0.4, kprime=200e-6, lam=0.0)
 PMOS_IDEAL = MosModelCard("PMOS", vth=0.4, kprime=80e-6, lam=0.0)
 
 
+def _bound(circuit, models):
+    """The MNA system of a circuit without placeholders."""
+    return simulator.Topology(circuit, models).bind({})
+
+
 # ---------------------------------------------------------------------------
 # device model oracles
 
@@ -195,7 +200,7 @@ def test_classify_region_total():
 
 def test_resistor_divider():
     c = parse_netlist("V1 in 0 1\nR1 in mid 1k\nR2 mid 0 1k\n")
-    sol = solve_dc(c, {})
+    sol = solve_dc(_bound(c, {}))
     assert sol.node_voltages["mid"] == pytest.approx(0.5, abs=1e-9)
     assert sol.node_voltages["in"] == pytest.approx(1.0, abs=1e-9)
     assert sol.branch_currents["V1"] == pytest.approx(-0.5e-3, abs=1e-9)
@@ -204,7 +209,7 @@ def test_resistor_divider():
 
 def test_diode_connected_nmos():
     c = parse_netlist("I1 0 d 40u\nM1 d d 0 0 NMOS W=10u L=1u\n")
-    sol = solve_dc(c, {"NMOS": NMOS_IDEAL})
+    sol = solve_dc(_bound(c, {"NMOS": NMOS_IDEAL}))
     expected = 0.4 + math.sqrt(2 * 40e-6 / (200e-6 * 10))
     assert sol.node_voltages["d"] == pytest.approx(expected, abs=1e-6)
     op = sol.transistor_ops["M1"]
@@ -216,7 +221,7 @@ def test_pmos_common_source_closed_form():
     c = parse_netlist(
         "V1 vdd 0 1.8\nVg g 0 0.9\nM1 d g vdd vdd PMOS W=10u L=1u\nR1 d 0 10k\n"
     )
-    sol = solve_dc(c, {"PMOS": PMOS_IDEAL})
+    sol = solve_dc(_bound(c, {"PMOS": PMOS_IDEAL}))
     # vsg = 0.9, vov = 0.5, id = 0.5*80e-6*10*0.25 = 100 uA into R1
     assert sol.node_voltages["d"] == pytest.approx(1.0, abs=1e-6)
     op = sol.transistor_ops["M1"]
@@ -232,7 +237,7 @@ def test_nmos_triode_closed_form():
     c = parse_netlist(
         "Vg g 0 1.2\nVd d 0 0.1\nM1 d g 0 0 NMOS W=10u L=1u\n"
     )
-    sol = solve_dc(c, {"NMOS": NMOS_IDEAL})
+    sol = solve_dc(_bound(c, {"NMOS": NMOS_IDEAL}))
     expected = 200e-6 * 10 * (0.8 * 0.1 - 0.5 * 0.01)
     assert sol.transistor_ops["M1"]["region"] == "triode"
     # Vd supplies the drain current, so its branch current is negative
@@ -244,7 +249,7 @@ def test_reverse_conduction_mosfet():
     c = parse_netlist(
         "Vg g 0 1.0\nVs s 0 0.5\nVd d 0 0.0\nM1 d g s 0 NMOS W=10u L=1u\n"
     )
-    sol = solve_dc(c, {"NMOS": NMOS_IDEAL})
+    sol = solve_dc(_bound(c, {"NMOS": NMOS_IDEAL}))
     op = sol.transistor_ops["M1"]
     assert op["vds_V"] == pytest.approx(-0.5)
     # swapped frame: vgs' = 1.0, vds' = 0.5, vov = 0.6 -> triode
@@ -315,7 +320,7 @@ CIRCUITS = [
 @pytest.mark.parametrize("text,models", CIRCUITS)
 def test_kcl_residual_bound(text, models):
     circuit = parse_netlist(text)
-    sol = solve_dc(circuit, models)
+    sol = solve_dc(_bound(circuit, models))
     sums = _independent_kcl(circuit, models, sol)
     worst = max(abs(s) for s in sums.values())
     assert worst <= 1e-9, f"KCL violated: {sums}"
@@ -327,7 +332,7 @@ def test_cross_check_against_scipy_root():
     """Independent dense solve of the same device equations (five-T OTA)."""
     text, models = CIRCUITS[4]
     circuit = parse_netlist(text)
-    sol = solve_dc(circuit, models)
+    sol = solve_dc(_bound(circuit, models))
 
     nets = sorted(circuit.nets - {"0"})
     vsrcs = [d for d in circuit.devices if d.kind is DeviceKind.VSOURCE]
@@ -356,7 +361,7 @@ def test_singular_matrix_reported():
     # two parallel ideal V sources with different values: structurally singular
     c = parse_netlist("V1 a 0 1\nV2 a 0 2\nR1 a 0 1k\n")
     with pytest.raises(SingularMatrix) as exc:
-        solve_dc(c, {})
+        solve_dc(_bound(c, {}))
     assert exc.value.unknown == "I(V2)"
 
 
@@ -371,7 +376,7 @@ def _two_unknowns():
 )
 def test_zero_pivot_names_its_unknown(j, unknown):
     comp = _two_unknowns()
-    assert comp.labels == ["a", "I(V1)"]
+    assert comp.topology.labels == ["a", "I(V1)"]
     with pytest.raises(SingularMatrix) as exc:
         comp._solve_linear(np.array(j), np.ones(2))
     assert exc.value.unknown == unknown
@@ -399,7 +404,7 @@ def test_nonconvergence_reports_iterations(monkeypatch):
     monkeypatch.setattr(simulator, "DC_MAX_ITERS", 2)
     c = parse_netlist("I1 0 d 40u\nM1 d d 0 0 NMOS W=10u L=1u\n")
     with pytest.raises(NonConvergence) as exc:
-        solve_dc(c, {"NMOS": NMOS_IDEAL})
+        solve_dc(_bound(c, {"NMOS": NMOS_IDEAL}))
     assert exc.value.iterations == 2
     assert exc.value.residual > 0
 
@@ -418,7 +423,7 @@ def test_solve_linear_matches_scipy_lu_solve(monkeypatch):
     cfg = load_config(DATA / "two_stage_run.yaml")
     mid = cfg.space.midpoint()
     for point in (mid, {**mid, "W6": 1e-4, "CC": 1e-12}):
-        solve_dc(parse_netlist(cfg.netlist_text).bind(point), cfg.model_cards)
+        solve_dc(simulator.Topology(cfg.circuit, cfg.model_cards).bind(point))
     solved = 0
     for comp, j, rhs in systems:
         try:
@@ -438,9 +443,10 @@ def _per_entry_residual_and_jacobian(comp, x, b, gmin):
     """Reference: the stamp as one `+=` per matrix and residual entry."""
     j = comp.g0.copy()
     if gmin > 0.0:
-        j[range(comp.n_nodes), range(comp.n_nodes)] += gmin
+        j[range(comp.topology.n_nodes), range(comp.topology.n_nodes)] += gmin
     f = j @ x - b
-    for _, card, w, l, di, gi, si in comp.mosfets:
+    for dev, card, di, gi, si in comp.topology.mosfets:
+        w, l = comp.value(dev.id, "W"), comp.value(dev.id, "L")
         vd = x[di] if di >= 0 else 0.0
         vg = x[gi] if gi >= 0 else 0.0
         vs = x[si] if si >= 0 else 0.0
@@ -472,10 +478,10 @@ def _random_point(space, rng):
 def _assert_stamp_matches_per_entry(comp, rng, trials):
     reverse = 0
     for _ in range(trials):
-        x = np.array([rng.uniform(-2.0, 2.0) for _ in range(comp.n_unknowns)])
+        x = np.array([rng.uniform(-2.0, 2.0) for _ in range(comp.topology.n_unknowns)])
         v = list(x) + [0.0]
         reverse += sum(
-            card.polarity * (v[di] - v[si]) < 0.0 for _, card, _, _, di, _, si in comp.mosfets
+            card.polarity * (v[di] - v[si]) < 0.0 for _, card, di, _, si in comp.topology.mosfets
         )
         for gmin in (0.0, simulator.GMIN):
             f, j = comp.residual_and_jacobian(x, comp.b_dc, gmin)
@@ -488,7 +494,7 @@ def _assert_stamp_matches_per_entry(comp, rng, trials):
 @pytest.mark.parametrize("run", ["two_stage_run.yaml", "folded_cascode_run.yaml"])
 def test_stamp_matches_per_entry_loop_bit_for_bit(run):
     cfg = load_config(DATA / run)
-    topology = simulator.Topology(parse_netlist(cfg.netlist_text), cfg.model_cards)
+    topology = simulator.Topology(cfg.circuit, cfg.model_cards)
     rng = random.Random(17)
     reverse = 0
     for _ in range(25):
@@ -510,32 +516,33 @@ def test_stamp_with_grounded_terminals_matches_per_entry_loop():
         "R1 vdd d 10k\nR2 s 0 5k\n"
     )
     comp = simulator.Topology(circuit, dict(DEFAULT_MODEL_CARDS)).bind({})
-    for terminal in (4, 5, 6):  # drain, gate, source index
-        assert any(m[terminal] == -1 for m in comp.mosfets)
+    for terminal in (2, 3, 4):  # drain, gate, source index
+        assert any(m[terminal] == -1 for m in comp.topology.mosfets)
     assert _assert_stamp_matches_per_entry(comp, random.Random(5), 40) > 0
 
 
 def test_gmin_shunt_lands_on_node_diagonals_only():
     cfg = load_config(DATA / "two_stage_run.yaml")
-    topology = simulator.Topology(parse_netlist(cfg.netlist_text), cfg.model_cards)
+    topology = simulator.Topology(cfg.circuit, cfg.model_cards)
     comp = topology.bind(cfg.space.midpoint())
     rng = random.Random(2)
-    x = np.array([rng.uniform(0.0, 1.8) for _ in range(comp.n_unknowns)])
+    x = np.array([rng.uniform(0.0, 1.8) for _ in range(comp.topology.n_unknowns)])
     f0, j0 = comp.residual_and_jacobian(x, comp.b_dc, 0.0)
     f1, j1 = comp.residual_and_jacobian(x, comp.b_dc, simulator.GMIN)
-    nodes = np.arange(comp.n_nodes)
+    nodes = np.arange(comp.topology.n_nodes)
     off = np.ones_like(j0, bool)
     off[nodes, nodes] = False
     # branch-current rows and every off-diagonal entry are untouched
-    assert comp.n_unknowns > comp.n_nodes
+    assert comp.topology.n_unknowns > comp.topology.n_nodes
     assert j1[off].tobytes() == j0[off].tobytes()
-    assert f1[comp.n_nodes:].tobytes() == f0[comp.n_nodes:].tobytes()
+    assert f1[comp.topology.n_nodes:].tobytes() == f0[comp.topology.n_nodes:].tobytes()
     # exactly gmin where nothing else sits on the diagonal (the input
     # nets see only gates), to the rounding of the stamp sums elsewhere
     for net in ("inp", "inn"):
-        i = comp.node_index[net]
+        i = comp.topology.node_index[net]
         assert j0[i, i] == 0.0 and j1[i, i] == simulator.GMIN
-    assert (j1 - j0)[nodes, nodes] == pytest.approx(np.full(comp.n_nodes, simulator.GMIN), rel=1e-6)
+    assert (j1 - j0)[nodes, nodes] == pytest.approx(
+        np.full(comp.topology.n_nodes, simulator.GMIN), rel=1e-6)
 
 
 def test_newton_clips_node_updates_only(monkeypatch):
@@ -558,37 +565,37 @@ def test_newton_clips_node_updates_only(monkeypatch):
 
     monkeypatch.setattr(comp, "_solve_linear", recording_solve)
     monkeypatch.setattr(comp, "residual_and_jacobian", recording_assemble)
-    x, iters, _ = comp.newton(np.zeros(comp.n_unknowns), comp.b_dc)
+    x, iters, _ = comp.newton(np.zeros(comp.topology.n_unknowns), comp.b_dc)
     assert iters > 1
     raw, after = steps[0], iterates[1]  # from x = 0 the iterate is the step
-    n = comp.n_nodes
-    volts = {net: after[i] for net, i in comp.node_index.items() if i >= 0}
+    n = comp.topology.n_nodes
+    volts = {net: after[i] for net, i in comp.topology.node_index.items() if i >= 0}
     assert (volts["a"], volts["b"], volts["c"]) == (0.25, -0.25, 0.25)
     assert volts["d"] == pytest.approx(-1 / 11)
     assert after[:n].tobytes() == np.clip(raw[:n], -0.25, 0.25).tobytes()
     assert after[n:].tobytes() == raw[n:].tobytes()
     assert min(abs(raw[n:])) > 0.25
-    assert x[comp.node_index["a"]] == pytest.approx(1.0)
+    assert x[comp.topology.node_index["a"]] == pytest.approx(1.0)
 
 
 def test_capacitor_only_node_is_tolerated():
     # the floating cap net has no DC path; gmin pins it without polluting KCL
     c = parse_netlist("V1 in 0 1\nR1 in out 1k\nR2 out 0 1k\nC1 float out 1p\n")
-    sol = solve_dc(c, {})
+    sol = solve_dc(_bound(c, {}))
     assert sol.node_voltages["out"] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_missing_model_card():
     c = parse_netlist("I1 0 d 1u\nM1 d d 0 0 XMOS W=1u L=1u\n")
     with pytest.raises(Exception) as exc:
-        solve_dc(c, {"NMOS": NMOS_IDEAL})
+        solve_dc(_bound(c, {"NMOS": NMOS_IDEAL}))
     assert "XMOS" in str(exc.value)
 
 
 def test_unbound_circuit_rejected():
     c = parse_netlist("I1 0 d 1u\nM1 d d 0 0 NMOS W={W1} L=1u\n")
     with pytest.raises(Exception) as exc:
-        solve_dc(c, {"NMOS": NMOS_IDEAL})
+        solve_dc(_bound(c, {"NMOS": NMOS_IDEAL}))
     assert "W1" in str(exc.value)
 
 
@@ -614,7 +621,7 @@ def test_solve_dc_leaves_no_reference_cycle():
         assert _live_compiled() == before
         failed = False
         try:
-            solve_dc(floating, DEFAULT_MODEL_CARDS)
+            solve_dc(_bound(floating, DEFAULT_MODEL_CARDS))
         except (NonConvergence, SingularMatrix):
             failed = True
         assert failed

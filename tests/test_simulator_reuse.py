@@ -59,21 +59,21 @@ def evaluations(monkeypatch):
     return calls
 
 
-def _outcomes(make, models, ac=None, tran=None) -> list:
+def _outcomes(make, ac=None, tran=None) -> list:
     """Every result of DC, then AC and transient, on one bound system made
     by `make()`, in an exactly comparable form; an error by its message."""
     comp = make()
     try:
-        dc = solve_dc(comp, models)
+        dc = solve_dc(comp)
     except SimulationError as exc:
         return [type(exc).__name__, str(exc)]
     out = [repr(dc)]  # float reprs round-trip, so equal reprs mean equal bits
     if ac is not None:
-        sweep = solve_ac(comp, models, dc, *ac)
+        sweep = solve_ac(comp, dc, *ac)
         out += [sweep.freqs_hz.tobytes(), sweep.transfer.tobytes()]
     if tran is not None:
         try:
-            trace = solve_transient(comp, models, dc, *tran)
+            trace = solve_transient(comp, dc, *tran)
         except SimulationError as exc:
             return out + [type(exc).__name__, str(exc)]
         out.append(trace.times_s.tobytes())
@@ -82,7 +82,7 @@ def _outcomes(make, models, ac=None, tran=None) -> list:
 
 
 def _assert_reuse_changes_nothing(monkeypatch, evaluations, cases):
-    """Each case (make, models, ac, tran) gives the same outcomes with and
+    """Each case (make, ac, tran) gives the same outcomes with and
     without reuse; returns (outcomes, evaluations with reuse, without)."""
     evaluations[0] = 0
     kept = [_outcomes(*case) for case in cases]
@@ -105,7 +105,7 @@ def _random_points(cfg, seed, count):
 
 def _config_cases(config, points, tran):
     cfg = load_config(str(config))
-    topology = simulator.Topology(parse_netlist(cfg.netlist_text), cfg.model_cards)
+    topology = simulator.Topology(cfg.circuit, cfg.model_cards)
     plan = cfg.ac_plan
     ac = (plan.input_source, plan.output_net, plan.f_lo, plan.f_hi, plan.pts_per_decade)
     cases = []
@@ -118,7 +118,7 @@ def _config_cases(config, points, tran):
             tp = cfg.tran_plan
             v0 = make().value(tp.source, "DC")
             stimulus = ({tp.source: [(0.0, v0 + tp.step_v)]}, tp.t_stop, tp.dt)
-        cases.append((make, cfg.model_cards, ac, stimulus))
+        cases.append((make, ac, stimulus))
     return cases
 
 
@@ -142,8 +142,8 @@ def test_inverter_is_bit_identical_without_reuse(monkeypatch, evaluations):
     models = {"NMOS": DEFAULT_MODEL_CARDS["NMOS"]}
     make = lambda: simulator.Topology(c, models).bind({})  # noqa: E731
     _, reused, fresh = _assert_reuse_changes_nothing(monkeypatch, evaluations, [
-        (make, models, ("Vin", "d", 1.0, 1e9, 20), (INVERTER_STEP, 2e-7, 1e-9)),
-        (lambda: c, models, None, (INVERTER_STEP, 2e-7, 1e-9)),  # compiled per analysis
+        (make, ("Vin", "d", 1.0, 1e9, 20), (INVERTER_STEP, 2e-7, 1e-9)),
+        (make, None, (INVERTER_STEP, 2e-7, 1e-9)),  # no AC between DC and transient
     ])
     assert reused < fresh
 
@@ -168,7 +168,7 @@ def test_failed_gmin_polish_is_bit_identical_without_reuse(monkeypatch, evaluati
     monkeypatch.setattr(simulator._Compiled, "newton", recorded)
     make = lambda: simulator.Topology(c, DEFAULT_MODEL_CARDS).bind({})  # noqa: E731
     (kept,), _, _ = _assert_reuse_changes_nothing(monkeypatch, evaluations, [
-        (make, DEFAULT_MODEL_CARDS, ("Vin", "d2", 1.0, 1e9, 20), (INVERTER_STEP, 2e-7, 1e-9)),
+        (make, ("Vin", "d2", 1.0, 1e9, 20), (INVERTER_STEP, 2e-7, 1e-9)),
     ])
     assert polish.count(True) == 2  # once with reuse, once without
     assert len(kept) > 5
@@ -179,7 +179,7 @@ def test_transient_nonconvergence_raises_the_same_without_reuse(monkeypatch, eva
     models = {"NMOS": DEFAULT_MODEL_CARDS["NMOS"]}
     monkeypatch.setattr(simulator, "TRAN_MAX_ITERS", 1)
     make = lambda: simulator.Topology(c, models).bind({})  # noqa: E731
-    case = (make, models, None, (INVERTER_STEP, 2e-7, 1e-9))
+    case = (make, None, (INVERTER_STEP, 2e-7, 1e-9))
     (kept,), _, _ = _assert_reuse_changes_nothing(monkeypatch, evaluations, [case])
     assert kept[1] == "NonConvergence"
     assert kept[2].startswith("Newton did not converge during transient step 1 (t = 1e-09 s)")
@@ -187,9 +187,9 @@ def test_transient_nonconvergence_raises_the_same_without_reuse(monkeypatch, eva
 
 def test_kept_assembly_cannot_be_changed_through_returned_arrays():
     cfg = load_config(str(DATA / "two_stage_run.yaml"))
-    topology = simulator.Topology(parse_netlist(cfg.netlist_text), cfg.model_cards)
+    topology = simulator.Topology(cfg.circuit, cfg.model_cards)
     comp = bind_parameters(topology, cfg.space, cfg.space.midpoint())
-    x = np.linspace(0.0, 1.8, comp.n_unknowns)
+    x = np.linspace(0.0, 1.8, comp.topology.n_unknowns)
     f0, j0 = (a.copy() for a in comp.residual_and_jacobian(x, comp.b_dc, 0.0))
     for _ in range(2):  # a kept result, then that result handed out again
         f, j = comp.residual_and_jacobian(x, comp.b_dc, 0.0)
@@ -205,7 +205,7 @@ def test_transient_device_evaluations_equal_its_newton_iterations(monkeypatch, e
     """Each step's first iterate is where the previous step (or the DC and
     AC before the first step) stopped, so it evaluates no MOSFET again."""
     cfg = load_config(str(DE_TRAN_CONFIG))
-    topology = simulator.Topology(parse_netlist(cfg.netlist_text), cfg.model_cards)
+    topology = simulator.Topology(cfg.circuit, cfg.model_cards)
     plan, tp = cfg.ac_plan, cfg.tran_plan
     newton = simulator._Compiled.newton
     iterations = []
@@ -219,14 +219,14 @@ def test_transient_device_evaluations_equal_its_newton_iterations(monkeypatch, e
 
     def transient_counts(point):
         bound = bind_parameters(topology, cfg.space, point)
-        dc = solve_dc(bound, cfg.model_cards)
-        solve_ac(bound, cfg.model_cards, dc, plan.input_source, plan.output_net,
+        dc = solve_dc(bound)
+        solve_ac(bound, dc, plan.input_source, plan.output_net,
                  plan.f_lo, plan.f_hi, plan.pts_per_decade)
         stimulus = {tp.source: [(0.0, bound.value(tp.source, "DC") + tp.step_v)]}
         evaluations[0] = 0
         iterations.clear()
-        solve_transient(bound, cfg.model_cards, dc, stimulus, tp.t_stop, tp.dt)
-        return evaluations[0] // len(bound.mosfets), sum(iterations), len(iterations)
+        solve_transient(bound, dc, stimulus, tp.t_stop, tp.dt)
+        return evaluations[0] // len(topology.mosfets), sum(iterations), len(iterations)
 
     checked = 0
     for point in _random_points(cfg, 7, 8):
